@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 
@@ -19,9 +19,25 @@ def check_k(k: int, n: int) -> int:
 
 
 def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (N, K)."""
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkp,nkp->nk", diff, diff)
+    """Squared Euclidean distances, shape (N, K), in GEMM form.
+
+    With ``m`` the mean of the centers, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T +
+    |c-m|^2``: one matrix product, no (N, K, p) temporary.  The shift by
+    ``m`` keeps the cancellation error near eps * (|x-m|^2 + |c-m|^2)
+    however far the data sit from the origin; the result is clamped at 0.
+    Raises ``NumericalError`` when a distance overflows (or is NaN).
+    """
+    shift = centers.mean(axis=0)
+    xs = x - shift
+    cs = centers - shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = xs @ (-2.0 * cs.T)
+        d2 += np.einsum("np,np->n", xs, xs)[:, None]
+        d2 += np.einsum("kp,kp->k", cs, cs)
+        np.maximum(d2, 0.0, out=d2)
+    if not np.isfinite(d2).all():
+        raise NumericalError("squared distances overflow float64; rescale the data")
+    return d2
 
 
 def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -48,6 +64,30 @@ def kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return chosen
 
 
+def random_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct row indices drawn uniformly, whose rows are distinct points.
+
+    The draw is ``rng.choice(n, k, replace=False)``; only when it picks
+    coincident points (duplicate rows) is each repeat replaced, in order,
+    by a further draw among the unpicked rows equal to no point chosen so
+    far.  With fewer than k distinct points the repeats are kept.
+    """
+    n = x.shape[0]
+    idx = rng.choice(n, size=k, replace=False).astype(np.int64)
+    if len(set(map(tuple, x[idx].tolist()))) == k:
+        return idx
+    fresh = np.ones(n, dtype=bool)  # rows equal to no chosen point
+    unpicked = np.ones(n, dtype=bool)
+    unpicked[idx] = False
+    for j in range(k):
+        if not fresh[idx[j]]:
+            pool = np.flatnonzero(fresh & unpicked)
+            if pool.size:
+                idx[j] = int(rng.choice(pool))
+        fresh &= (x != x[idx[j]]).any(axis=1)
+    return idx
+
+
 def init_centers(x: np.ndarray, k: int, rng: np.random.Generator, init):
     """Resolve an init request to (centers, indices-or-None).
 
@@ -56,7 +96,7 @@ def init_centers(x: np.ndarray, k: int, rng: np.random.Generator, init):
     """
     if isinstance(init, str):
         if init == "random":
-            idx = rng.choice(x.shape[0], size=k, replace=False).astype(np.int64)
+            idx = random_indices(x, k, rng)
         elif init == "kmeanspp":
             idx = kmeanspp_indices(x, k, rng)
         else:

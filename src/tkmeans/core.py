@@ -7,7 +7,10 @@ responsibility ``tau``, the latent precision weight ``u`` that discounts
 far points, and the posterior expectation of ``ln u`` needed by the ``nu``
 update.  The M-step moves every center to its tau*u-weighted mean over
 *all* samples, re-estimates ``alpha`` against the new centers, and updates
-``nu`` through a closed-form approximation.
+``nu`` through a closed-form approximation.  Each iteration of ``fit``
+computes one (N, K) squared-distance matrix, to the new centers, and that
+one matrix serves the ``alpha`` update, the iteration's negative log
+likelihood and the next E-step.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It
@@ -161,7 +164,28 @@ def _log_t_matrix(d2: np.ndarray, p: int, alpha: float, nu: float) -> np.ndarray
         - 0.5 * p * math.log(nu * math.pi)
         - 0.5 * p * math.log(alpha)
     )
-    return const - 0.5 * (nu + p) * np.log1p(d2 / (nu * alpha))
+    logt = np.log1p(d2 / (nu * alpha))
+    logt *= -0.5 * (nu + p)
+    logt += const
+    return logt
+
+
+def _e_step(d2: np.ndarray, model: TkModel) -> tuple[EStepResult, np.ndarray]:
+    """E-step from the (N, K) squared distances; also returns the row log-sum-exp of ln t."""
+    p, nu, alpha = model.p, model.nu, model.alpha
+    logt = _log_t_matrix(d2, p, alpha, nu)
+    lse = log_sum_exp(logt, axis=1)
+    # in place: every (N, K) temporary is one more live matrix at the peak
+    logt -= lse[:, None]
+    tau = np.exp(logt, out=logt)
+    u = d2 / alpha
+    u += nu
+    np.divide(nu + p, u, out=u)
+    half = (nu + p) / 2.0
+    log_u_expect = np.log(u)
+    log_u_expect += digamma(half)
+    log_u_expect -= math.log(half)
+    return EStepResult(tau, u, log_u_expect), lse
 
 
 def e_step(data: Dataset, model: TkModel) -> EStepResult:
@@ -170,26 +194,11 @@ def e_step(data: Dataset, model: TkModel) -> EStepResult:
     tau is normalized in log space (the equal mixing weights cancel), so
     far points cannot underflow a whole row.
     """
-    d2 = _sq_dists_to(data, model.centers)
-    p, nu, alpha = model.p, model.nu, model.alpha
-    logt = _log_t_matrix(d2, p, alpha, nu)
-    tau = np.exp(logt - log_sum_exp(logt, axis=1)[:, None])
-    u = (nu + p) / (nu + d2 / alpha)
-    half = (nu + p) / 2.0
-    log_u_expect = np.log(u) + digamma(half) - math.log(half)
-    return EStepResult(tau, u, log_u_expect)
+    return _e_step(_sq_dists_to(data, model.centers), model)[0]
 
 
-def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkModel:
-    """One coordinate sweep of the M-step updates.
-
-    Centers move to their tau*u weighted means; a component whose weight
-    mass vanished is re-seeded to the sample with the lowest maximum
-    responsibility.  ``alpha`` is re-estimated against the new centers and
-    floored; ``nu`` stays fixed when requested, otherwise it follows the
-    closed-form approximation, clamped to ``nu_bounds`` (a non-negative
-    eta would produce a non-positive nu and clamps to the upper bound).
-    """
+def _m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> tuple[TkModel, np.ndarray]:
+    """M-step; also returns the (N, K) squared distances to the new centers."""
     x = data.samples
     k, p = model.k, model.p
     if e.tau.shape != (data.n, k):
@@ -225,7 +234,20 @@ def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkM
         eta = 1.0 + float(terms.mean())
         lo, hi = cfg.nu_bounds
         nu = hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
-    return TkModel(centers, alpha, nu)
+    return TkModel(centers, alpha, nu), d2_new
+
+
+def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkModel:
+    """One coordinate sweep of the M-step updates.
+
+    Centers move to their tau*u weighted means; a component whose weight
+    mass vanished is re-seeded to the sample with the lowest maximum
+    responsibility.  ``alpha`` is re-estimated against the new centers and
+    floored; ``nu`` stays fixed when requested, otherwise it follows the
+    closed-form approximation, clamped to ``nu_bounds`` (a non-negative
+    eta would produce a non-positive nu and clamps to the upper bound).
+    """
+    return _m_step(data, e, model, cfg)[0]
 
 
 def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
@@ -245,6 +267,10 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     return float((tau * np.log1p(d2 / (model.nu * model.alpha))).sum())
 
 
+def _nll(lse: np.ndarray, k: int) -> float:
+    return float(-(lse - math.log(k)).sum())
+
+
 def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     """Observed-data negative log likelihood under equal mixing weights.
 
@@ -255,7 +281,7 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     """
     d2 = _sq_dists_to(data, model.centers)
     logt = _log_t_matrix(d2, model.p, model.alpha, model.nu)
-    return float(-(log_sum_exp(logt, axis=1) - math.log(model.k)).sum())
+    return _nll(log_sum_exp(logt, axis=1), model.k)
 
 
 def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float) -> TkModel:
@@ -269,18 +295,25 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float) -> TkModel
 _NU_START = 3.0  # where the free-nu EM starts
 
 
-def _run_em(data: Dataset, model: TkModel, cfg: FitConfig, budget: int, trace: list[float]) -> TkModel:
-    """Iterate E- and M-steps until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``."""
+def _run_em(data: Dataset, model: TkModel, d2: np.ndarray, cfg: FitConfig, budget: int, trace: list[float]):
+    """Iterate M- and E-steps until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
+
+    ``d2`` holds the squared distances to ``model``'s centers.  Each
+    iteration computes one distance matrix, to the new centers, and it
+    serves ``alpha``, the NLL and the next E-step.  Returns the last
+    model, its distances and its argmax-responsibility labels.
+    """
+    e, _ = _e_step(d2, model)
     prev_loss = None
     for _ in range(budget):
-        e = e_step(data, model)
-        model = m_step(data, e, model, cfg)
-        loss = negative_log_likelihood(data, model)
+        model, d2 = _m_step(data, e, model, cfg)
+        e, lse = _e_step(d2, model)
+        loss = _nll(lse, model.k)
         trace.append(loss)
         if prev_loss is not None and abs(loss - prev_loss) < cfg.tol * max(abs(prev_loss), 1e-12):
             break
         prev_loss = loss
-    return model
+    return model, d2, e.tau.argmax(axis=1)
 
 
 def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult:
@@ -312,11 +345,12 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     start = time.perf_counter()
     nu0 = cfg.nu_bounds[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
-    model = _run_em(data, _initial_model(data, k, cfg, nu0), replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
+    model = _initial_model(data, k, cfg, nu0)
+    d2 = _sq_dists_to(data, model.centers)
+    model, d2, labels = _run_em(data, model, d2, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
         model = TkModel(model.centers, model.alpha, _NU_START)
-        model = _run_em(data, model, cfg, cfg.max_iter - len(trace), trace)
-    labels = e_step(data, model).tau.argmax(axis=1)
+        model, d2, labels = _run_em(data, model, d2, cfg, cfg.max_iter - len(trace), trace)
     wall = time.perf_counter() - start
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)
 

@@ -314,6 +314,25 @@ class TestFit:
         assert r.model.nu != 200.0
 
 
+    def test_one_distance_matrix_per_iteration(self, monkeypatch):
+        # one for the initial alpha, one for the initial E-step, one per iteration
+        from tkmeans import _util
+
+        calls = []
+        kernel = _util.pairwise_sq_dists
+
+        def counting(x, centers):
+            calls.append(1)
+            return kernel(x, centers)
+
+        monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
+        d = generate_gaussian_blobs(3, 30, 2, seed=1)
+        for cfg in (FitConfig(seed=1, fixed_nu=3.0), FitConfig(seed=1), FitConfig(seed=2, max_iter=4)):
+            calls.clear()
+            r = fit(d, 3, cfg)
+            assert len(calls) == r.iterations + 2
+
+
 class TestFitFast:
     def test_outlier_nearly_ignored(self):
         # cluster {0, 10}, current center 0, c = 1e-6: weights {1e6, ~0.01},
