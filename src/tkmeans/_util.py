@@ -40,6 +40,22 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
+def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
+    """Closed-form degrees-of-freedom update shared by the t-model fits.
+
+    ``eta = 1 + mean_j sum_i tau_ij (E ln u_ij - u_ij) / sum_i tau_ij``
+    over the ``healthy`` components, and ``nu = -1/eta`` clamped to
+    ``nu_bounds``; a non-negative eta would give a non-positive nu and
+    clamps to the upper bound.
+    """
+    tau_mass = tau.sum(axis=0)
+    per_comp = (tau * (log_u_expect - u)).sum(axis=0)
+    terms = per_comp[healthy] / tau_mass[healthy]
+    eta = 1.0 + float(terms.mean())
+    lo, hi = nu_bounds
+    return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
+
+
 def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Manhattan distances, shape (N, K)."""
     return np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)

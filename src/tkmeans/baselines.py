@@ -84,10 +84,19 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
 
 
 def _medoid_of(x: np.ndarray, members: np.ndarray) -> int:
-    """Member index minimizing total L1 distance to the cluster; lowest index on ties."""
+    """Member index minimizing total L1 distance to the cluster; lowest index on ties.
+
+    The n_j x n_j L1 matrix is accumulated one coordinate at a time, so
+    two n_j x n_j buffers are the only temporaries, whatever p is.
+    """
     pts = x[members]
-    sums = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).sum(axis=1)
-    return int(members[int(np.argmin(sums))])
+    n = pts.shape[0]
+    d1 = np.zeros((n, n))
+    buf = np.empty((n, n))
+    for col in pts.T:
+        np.subtract(col[:, None], col[None, :], out=buf)
+        d1 += np.abs(buf, out=buf)
+    return int(members[int(np.argmin(d1.sum(axis=1)))])
 
 
 def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> ClusteringResult:

@@ -228,12 +228,7 @@ def _m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> tu
     if cfg.fixed_nu is not None:
         nu = model.nu
     else:
-        tau_mass = e.tau.sum(axis=0)
-        per_comp = (e.tau * (e.log_u_expect - e.u)).sum(axis=0)
-        terms = per_comp[healthy] / tau_mass[healthy]
-        eta = 1.0 + float(terms.mean())
-        lo, hi = cfg.nu_bounds
-        nu = hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
+        nu = _util.nu_update(e.tau, e.log_u_expect, e.u, cfg.nu_bounds, healthy)
     return TkModel(centers, alpha, nu), d2_new
 
 

