@@ -24,7 +24,7 @@ __all__ = ["BaselineConfig", "kmeans_fit", "kmeanspp_seed", "kmedoids_fit", "kme
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Shared knobs for the baseline fits."""
+    """Knobs shared by every fit; their defaults are the run defaults of the harness too."""
 
     max_iter: int = 300
     tol: float = 1e-6

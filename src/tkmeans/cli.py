@@ -6,6 +6,11 @@ Subcommands::
     tkmeans bench  --config FILE [--format csv|md|json] [--out PATH]
     tkmeans robust --data ... --fractions 0,0.05,0.1 --algos kmeans,tkmeans ...
 
+A flag of ``run`` or ``robust`` stores into the ``RunSpec`` field (or
+``run_robustness`` parameter) of its name, except ``--algo`` (into
+``algorithm``), ``--gen`` (``data``) and ``--labels`` (``label_path``);
+a flag left out keeps the default written there.
+
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure in at least one cell.  No environment variables are consulted.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import DomainError, FormatError, NumericalError, UsageError
 from .harness import ALGORITHMS, RunSpec, load_config, run_bench, run_once, run_robustness
@@ -31,31 +37,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_data_arguments(sub, with_labels=True):
+def _add_data_arguments(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", help="dataset path (.csv or whitespace-delimited text)")
-    group.add_argument("--gen", help="generator spec, e.g. blobs:k=15,n=300,p=2,std=0.6,seed=7")
-    if with_labels:
-        sub.add_argument("--labels", help="separate partition file for text datasets")
-        sub.add_argument("--label-column", default="last", help="CSV label column index or 'last'")
+    group.add_argument("--gen", dest="data", metavar="GEN",
+                       help="generator spec, e.g. blobs:k=15,n=300,p=2,std=0.6,seed=7")
+    sub.add_argument("--labels", dest="label_path", metavar="LABELS",
+                     help="separate partition file for text datasets")
+    sub.add_argument("--label-column", help="CSV label column index or 'last'")
     sub.add_argument("--standardize", action="store_true", help="standardize columns before fitting")
 
 
 def _add_fit_arguments(sub):
-    sub.add_argument("--max-iter", type=int, default=300)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--nu", type=float, default=None, help="fix the degrees of freedom")
-    sub.add_argument("--init", choices=["random", "kmeanspp"], default=None)
-    sub.add_argument("--ridge", type=float, default=None, help="covariance ridge for gmm/tmm")
-    sub.add_argument("--fast-alpha", type=float, default=1e-8, help="d^2 guard of the fast variant")
+    sub.add_argument("--max-iter", type=int)
+    sub.add_argument("--tol", type=float)
+    sub.add_argument("--nu", type=float, help="fix the degrees of freedom")
+    sub.add_argument("--init", choices=["random", "kmeanspp"])
+    sub.add_argument("--ridge", type=float, help="covariance ridge for gmm/tmm")
+    sub.add_argument("--fast-alpha", type=float, help="d^2 guard of the fast variant")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tkmeans", description="Clustering benchmark harness")
     subs = parser.add_subparsers(dest="command", required=True)
+    # run and robust leave out every flag not given, so the RunSpec defaults hold
+    unset = argparse.SUPPRESS
 
-    run_p = subs.add_parser("run", help="single seeded run, JSON to stdout")
-    run_p.add_argument("--algo", required=True, help=f"one of: {', '.join(ALGORITHMS)}")
+    run_p = subs.add_parser("run", help="single seeded run, JSON to stdout", argument_default=unset)
+    run_p.add_argument("--algo", dest="algorithm", metavar="ALGO", required=True,
+                       help=f"one of: {', '.join(ALGORITHMS)}")
     _add_data_arguments(run_p)
     run_p.add_argument("--k", type=int, required=True)
     run_p.add_argument("--seed", type=int, default=0)
@@ -66,36 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--format", choices=["csv", "md", "json"], default="md")
     bench_p.add_argument("--out", help="output path (stdout when omitted)")
 
-    robust_p = subs.add_parser("robust", help="contamination sweep")
+    robust_p = subs.add_parser("robust", help="contamination sweep", argument_default=unset)
     robust_p.add_argument("--algos", required=True, help="comma-separated algorithm names")
     _add_data_arguments(robust_p)
     robust_p.add_argument("--fractions", required=True, help="comma-separated outlier fractions")
-    robust_p.add_argument("--repeats", type=int, default=20)
-    robust_p.add_argument("--base-seed", type=int, default=0)
-    robust_p.add_argument("--k", type=int, default=None, help="clusters (default: ground-truth classes)")
-    robust_p.add_argument("--box-expansion", type=float, default=2.0)
+    robust_p.add_argument("--repeats", type=int)
+    robust_p.add_argument("--base-seed", type=int)
+    robust_p.add_argument("--k", type=int, help="clusters (default: ground-truth classes)")
+    robust_p.add_argument("--box-expansion", type=float)
     robust_p.add_argument("--format", choices=["csv", "md", "json"], default="md")
-    robust_p.add_argument("--out", help="output path (stdout when omitted)")
+    robust_p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     return parser
 
 
-def _spec_from_args(args, algorithm: str, repeats: int = 1, base_seed: int = 0) -> RunSpec:
-    return RunSpec(
-        algorithm=algorithm,
-        data=args.data if args.data is not None else args.gen,
-        k=args.k,
-        repeats=repeats,
-        base_seed=base_seed,
-        label_path=getattr(args, "labels", None),
-        label_column=getattr(args, "label_column", "last"),
-        standardize=args.standardize,
-        max_iter=getattr(args, "max_iter", 300),
-        tol=getattr(args, "tol", 1e-6),
-        nu=getattr(args, "nu", None),
-        init=getattr(args, "init", None),
-        ridge=getattr(args, "ridge", None),
-        fast_alpha=getattr(args, "fast_alpha", 1e-8),
-    )
+def _spec_fields(args, *extra) -> dict:
+    """The RunSpec fields (and ``extra`` names) that the command line set."""
+    names = [f.name for f in fields(RunSpec)] + list(extra)
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -107,7 +104,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    spec = _spec_from_args(args, args.algo)
+    spec = RunSpec(**_spec_fields(args))
     result, report = run_once(spec, args.seed)
     payload = {
         "algorithm": spec.algorithm,
@@ -139,18 +136,7 @@ def _cmd_robust(args) -> int:
         raise UsageError(f"bad --fractions value {args.fractions!r}") from None
     if not algos or not fractions:
         raise UsageError("--algos and --fractions must be non-empty")
-    report = run_robustness(
-        args.data if args.data is not None else args.gen,
-        fractions,
-        algos,
-        repeats=args.repeats,
-        base_seed=args.base_seed,
-        k=args.k,
-        box_expansion=args.box_expansion,
-        label_path=args.labels,
-        label_column=args.label_column,
-        standardize=args.standardize,
-    )
+    report = run_robustness(fractions=fractions, algorithms=algos, **_spec_fields(args, "box_expansion"))
     _emit(report.render(args.format), args.out)
     return EXIT_NUMERICAL if report.failed else EXIT_OK
 

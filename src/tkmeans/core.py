@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _util
+from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError
 from .results import ClusteringResult
@@ -86,8 +87,8 @@ class EStepResult:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Knobs for ``fit`` and ``fit_fast``.
+class FitConfig(BaselineConfig):
+    """Knobs for ``fit`` and ``fit_fast``: the shared ``BaselineConfig`` ones plus these.
 
     ``init`` is "random" (distinct data points), "kmeanspp", or an
     explicit (K, p) array.  ``fixed_nu`` freezes the degrees of freedom
@@ -96,21 +97,13 @@ class FitConfig:
     values make the fast update degenerate to the plain mean on purpose.
     """
 
-    max_iter: int = 300
-    tol: float = 1e-6
-    seed: int = 0
-    init: object = "random"
-    fast: bool = False
     fixed_nu: float | None = None
     alpha_floor: float = 1e-12
     nu_bounds: tuple[float, float] = (1.0, 200.0)
     fast_alpha: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
+        super().__post_init__()
         if self.fixed_nu is not None and self.fixed_nu <= 0:
             raise DomainError(f"fixed_nu must be > 0, got {self.fixed_nu}")
         if self.alpha_floor <= 0:
@@ -333,8 +326,6 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     Deterministic for a fixed seed.
     """
     cfg = cfg or FitConfig()
-    if cfg.fast:
-        return fit_fast(data, k, cfg)
     k = _util.check_k(k, data.n)
 
     start = time.perf_counter()

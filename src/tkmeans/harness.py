@@ -2,18 +2,19 @@
 
 A run spec names one algorithm, one dataset (a path, a ``blobs:...``
 generator string, or an in-memory :class:`~tkmeans.datasets.Dataset`),
-the cluster count, and the repeat protocol.  Repeat ``r`` always uses
-seed ``base_seed + r``, so any single cell can be reproduced in
-isolation.  Reports aggregate mean and sample (N-1) standard deviation
-per metric and can be rendered as CSV, Markdown, or JSON (the JSON form
-keeps full per-run detail including loss traces).
+the cluster count, the repeat protocol and the fit knobs; its fields are
+also the config keys and the CLI flags.  Repeat ``r`` always uses seed
+``base_seed + r``, so any single cell can be reproduced in isolation.
+Reports aggregate mean and sample (N-1) standard deviation per metric and
+can be rendered as CSV, Markdown, or JSON (the JSON form keeps full
+per-run detail including loss traces).
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,15 @@ ALGORITHMS = (
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One benchmark cell: an algorithm on a dataset with a repeat protocol."""
+    """One benchmark cell: an algorithm on a dataset with a repeat protocol.
+
+    The one run schema.  ``load_config`` reads these fields as INI keys
+    and the CLI parses its flags into them; a key or flag left out keeps
+    the default written here, and the fit defaults come from
+    ``BaselineConfig`` and ``FitConfig``.  ``init`` None means the
+    algorithm's own seeding, ``nu`` None an estimated (or, for the fast
+    variants, unit) ``nu`` and ``ridge`` None the mixtures' default ridge.
+    """
 
     algorithm: str
     data: object
@@ -71,12 +80,12 @@ class RunSpec:
     label_path: str | None = None
     label_column: object = "last"
     standardize: bool = False
-    max_iter: int = 300
-    tol: float = 1e-6
+    max_iter: int = BaselineConfig.max_iter
+    tol: float = BaselineConfig.tol
     nu: float | None = None
     init: str | None = None
     ridge: float | None = None
-    fast_alpha: float = 1e-8
+    fast_alpha: float = FitConfig.fast_alpha
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -174,13 +183,6 @@ def run_once(spec: RunSpec, seed: int, data: Dataset | None = None):
     mse = clustering_mse(data, result.centers, result.labels)
     wb = wb_ratio(data, result.centers, result.labels)
     return result, MetricReport(ari, mse, wb)
-
-
-def _mean_std(values) -> tuple[float, float]:
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 1:
-        return float(vals[0]), 0.0
-    return float(vals.mean()), float(vals.std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -320,29 +322,43 @@ class BenchReport:
         raise UsageError(f"unknown format {fmt!r}; expected csv, md or json")
 
 
-def _aggregate_runs(spec: RunSpec, dataset_name: str, records, fraction=None) -> BenchRow:
-    aris = [rec["ari"] for rec in records if rec["ari"] is not None]
-    ari_mean = ari_std = None
-    if aris:
-        ari_mean, ari_std = _mean_std(aris)
-    mse_mean, mse_std = _mean_std([rec["mse"] for rec in records])
-    wb_mean, wb_std = _mean_std([rec["wb"] for rec in records])
-    it_mean, it_std = _mean_std([rec["iterations"] for rec in records])
-    t_mean, t_std = _mean_std([rec["time_sec"] for rec in records])
-    return BenchRow(
-        name=spec.name or f"{spec.algorithm}/{dataset_name}",
-        algorithm=spec.algorithm,
-        dataset=dataset_name,
-        k=spec.k,
-        repeats=spec.repeats,
-        fraction=fraction,
-        ari_mean=ari_mean, ari_std=ari_std,
-        mse_mean=mse_mean, mse_std=mse_std,
-        wb_mean=wb_mean, wb_std=wb_std,
-        iters_mean=it_mean, iters_std=it_std,
-        time_mean=t_mean, time_std=t_std,
-        runs=tuple(records),
-    )
+def _row(spec: RunSpec, dataset: str, fraction, **cells) -> BenchRow:
+    """A row of ``spec``'s cell, named alike whether it holds scores or an error."""
+    name = spec.name or f"{spec.algorithm}/{dataset}"
+    return BenchRow(name, spec.algorithm, dataset, spec.k, spec.repeats, fraction, **cells)
+
+
+def _run_cell(spec: RunSpec, dataset: str, fit_and_score, fraction=None) -> BenchRow:
+    """One report row: ``fit_and_score(seed)`` for every repeat seed, aggregated.
+
+    ``fit_and_score`` returns (ClusteringResult, MetricReport).  Any
+    exception turns the row into an error row, named like a successful
+    one, without touching the other cells.
+    """
+    records = []
+    try:
+        for seed in range(spec.base_seed, spec.base_seed + spec.repeats):
+            result, report = fit_and_score(seed)
+            records.append(
+                {
+                    "seed": seed,
+                    "ari": report.ari,
+                    "mse": report.mse,
+                    "wb": report.wb,
+                    "iterations": result.iterations,
+                    "time_sec": result.wall_time,
+                    "loss_trace": [float(v) for v in result.loss_trace],
+                }
+            )
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return _row(spec, dataset, fraction, error=f"{type(exc).__name__}: {exc}")
+    stats = {}  # mean and sample (N-1) std per metric; ARI is absent without ground truth
+    for key, column in (("ari", "ari"), ("mse", "mse"), ("wb", "wb"), ("iterations", "iters"), ("time_sec", "time")):
+        values = np.array([rec[key] for rec in records if rec[key] is not None], dtype=np.float64)
+        if values.size:
+            stats[f"{column}_mean"] = float(values.mean())
+            stats[f"{column}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return _row(spec, dataset, fraction, runs=tuple(records), **stats)
 
 
 def run_bench(specs) -> BenchReport:
@@ -359,33 +375,11 @@ def run_bench(specs) -> BenchReport:
     for spec in specs:
         try:
             data = resolve_dataset(spec)
-            records = []
-            for r in range(spec.repeats):
-                seed = spec.base_seed + r
-                result, report = run_once(spec, seed, data=data)
-                records.append(
-                    {
-                        "seed": seed,
-                        "ari": report.ari,
-                        "mse": report.mse,
-                        "wb": report.wb,
-                        "iterations": result.iterations,
-                        "time_sec": result.wall_time,
-                        "loss_trace": [float(v) for v in result.loss_trace],
-                    }
-                )
-            rows.append(_aggregate_runs(spec, data.name, records))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            rows.append(
-                BenchRow(
-                    name=spec.name or f"{spec.algorithm}/{spec.data}",
-                    algorithm=spec.algorithm,
-                    dataset=str(getattr(spec.data, "name", spec.data)),
-                    k=spec.k,
-                    repeats=spec.repeats,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        except Exception as exc:  # noqa: BLE001 - a dataset that cannot load fails its own cell
+            dataset = str(getattr(spec.data, "name", spec.data))
+            rows.append(_row(spec, dataset, None, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(_run_cell(spec, data.name, lambda seed: run_once(spec, seed, data=data)))
     return BenchReport(tuple(rows))
 
 
@@ -404,7 +398,7 @@ def run_robustness(
     Each repeat contaminates the base dataset with seed ``base_seed + r``
     and fits with the same seed.  ARI is scored on the original points
     only; the appended outliers keep their own label class and never enter
-    the ground truth.
+    the ground truth.  ``overrides`` are further ``RunSpec`` fields.
     """
     base_spec = RunSpec(algorithm="kmeans", data=data, k=1, **overrides)
     base = resolve_dataset(base_spec)
@@ -413,52 +407,31 @@ def run_robustness(
     k = k if k is not None else base.n_classes
     rows = []
     for algo in algorithms:
+        spec = replace(base_spec, algorithm=algo, k=k, repeats=repeats, base_seed=base_seed)
         for fraction in fractions:
-            spec = replace(base_spec, algorithm=algo, k=k, repeats=repeats, base_seed=base_seed)
-            try:
-                records = []
-                for r in range(repeats):
-                    seed = base_seed + r
-                    noisy = contaminate(base, ContaminationSpec(fraction, box_expansion, seed=seed))
-                    result = _dispatch(spec, noisy, seed)
-                    ari = adjusted_rand_index(base.labels, result.labels[: base.n])
-                    records.append(
-                        {
-                            "seed": seed,
-                            "ari": ari,
-                            "mse": clustering_mse(noisy, result.centers, result.labels),
-                            "wb": wb_ratio(noisy, result.centers, result.labels),
-                            "iterations": result.iterations,
-                            "time_sec": result.wall_time,
-                            "loss_trace": [float(v) for v in result.loss_trace],
-                        }
-                    )
-                rows.append(_aggregate_runs(spec, base.name, records, fraction=fraction))
-            except Exception as exc:  # noqa: BLE001
-                rows.append(
-                    BenchRow(
-                        name=f"{algo}/{base.name}@{fraction:g}",
-                        algorithm=algo,
-                        dataset=base.name,
-                        k=k,
-                        repeats=repeats,
-                        fraction=fraction,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+
+            def fit_and_score(seed):
+                noisy = contaminate(base, ContaminationSpec(fraction, box_expansion, seed=seed))
+                result = _dispatch(spec, noisy, seed)
+                ari = adjusted_rand_index(base.labels, result.labels[: base.n])
+                mse = clustering_mse(noisy, result.centers, result.labels)
+                return result, MetricReport(ari, mse, wb_ratio(noisy, result.centers, result.labels))
+
+            rows.append(_run_cell(spec, base.name, fit_and_score, fraction))
     return BenchReport(tuple(rows))
 
 
-_CONFIG_KEYS = {
-    "algo", "data", "k", "repeats", "base_seed", "labels", "label_column",
-    "standardize", "max_iter", "tol", "nu", "init", "ridge", "fast_alpha",
-}
+# INI spellings of the RunSpec fields whose key differs from the field name;
+# the section header gives ``name``.
+_INI_KEYS = {"algorithm": "algo", "label_path": "labels"}
+# ConfigParser getters by field annotation; any other type is kept as text
+_INI_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean"}
 
 
 def load_config(path) -> list[RunSpec]:
     """Parse a plain-text bench config into run specs.
 
-    INI sections, one per spec::
+    INI sections, one per spec, named by the section header::
 
         [s1-kmeans]
         algo = kmeans
@@ -467,42 +440,41 @@ def load_config(path) -> list[RunSpec]:
         repeats = 20
         base_seed = 0
 
-    Optional keys: labels, label_column, standardize, max_iter, tol, nu,
-    init, ridge, fast_alpha.
+    The keys are the fields of :class:`RunSpec`, spelled as the field
+    except ``algo`` (``algorithm``) and ``labels`` (``label_path``).
+    ``algo``, ``data`` and ``k`` are required; a key left out keeps the
+    field's default.  Each value is parsed by its field's type, and
+    ``standardize`` takes ``getboolean``'s words (true/false, yes/no,
+    on/off, 1/0).  ``%`` is an ordinary character.  A file that cannot be
+    read or parsed raises ``FormatError``.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    keys = {_INI_KEYS.get(f.name, f.name): f for f in fields(RunSpec) if f.name != "name"}
+    required = [key for key, f in keys.items() if f.default is MISSING]
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not read:
         raise FormatError(f"{path}: cannot read config file")
     specs = []
     for section in parser.sections():
         body = parser[section]
-        unknown = set(body) - _CONFIG_KEYS
+        unknown = set(body) - set(keys)
         if unknown:
             raise FormatError(f"{path}: [{section}]: unknown keys {sorted(unknown)}")
-        if "algo" not in body or "data" not in body or "k" not in body:
-            raise FormatError(f"{path}: [{section}]: 'algo', 'data' and 'k' are required")
+        if not set(required) <= set(body):
+            listed = ", ".join(map(repr, required[:-1])) + f" and {required[-1]!r}"
+            raise FormatError(f"{path}: [{section}]: {listed} are required")
         try:
-            spec = RunSpec(
-                algorithm=body["algo"],
-                data=body["data"],
-                k=body.getint("k"),
-                repeats=body.getint("repeats", fallback=1),
-                base_seed=body.getint("base_seed", fallback=0),
-                name=section,
-                label_path=body.get("labels", fallback=None),
-                label_column=body.get("label_column", fallback="last"),
-                standardize=body.getboolean("standardize", fallback=False),
-                max_iter=body.getint("max_iter", fallback=300),
-                tol=body.getfloat("tol", fallback=1e-6),
-                nu=body.getfloat("nu", fallback=None),
-                init=body.get("init", fallback=None),
-                ridge=body.getfloat("ridge", fallback=None),
-                fast_alpha=body.getfloat("fast_alpha", fallback=1e-8),
-            )
+            values = {
+                f.name: getattr(body, _INI_GETTERS.get(f.type.removesuffix(" | None"), "get"))(key)
+                for key, f in keys.items()
+                if key in body
+            }
+            specs.append(RunSpec(name=section, **values))
         except ValueError as exc:
             raise FormatError(f"{path}: [{section}]: {exc}") from exc
-        specs.append(spec)
     if not specs:
         raise FormatError(f"{path}: config defines no run specs")
     return specs

@@ -50,19 +50,28 @@ def _default_cfg(cfg: BaselineConfig | None) -> BaselineConfig:
     return cfg if cfg is not None else BaselineConfig(init="kmeanspp")
 
 
+def _finite(what: str, compute) -> np.ndarray:
+    """``compute()`` with overflow silenced; a non-finite result raises ``NumericalError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(compute())
+    if not np.isfinite(value).all():
+        raise NumericalError(f"{what} overflows float64; rescale the data")
+    return value
+
+
 def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if ridge is not None:
         if ridge < 0:
             raise DomainError(f"ridge must be >= 0, got {ridge}")
         return float(ridge)
-    return 1e-6 * float(x.var(axis=0, ddof=1).mean())
+    return 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
 
 
 def _init_mixture(data: Dataset, k: int, cfg: BaselineConfig, ridge: float):
     x = data.samples
     rng = np.random.default_rng(cfg.seed)
     means, _ = _util.init_centers(x, k, rng, cfg.init)
-    base = np.cov(x, rowvar=False, ddof=0).reshape(data.p, data.p)
+    base = _finite("the data scatter", lambda: np.cov(x, rowvar=False, ddof=0)).reshape(data.p, data.p)
     covs = np.repeat((base + ridge * np.eye(data.p))[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     return weights, means, covs

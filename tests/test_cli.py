@@ -1,6 +1,8 @@
 import json
+from pathlib import Path
 
 from tkmeans.cli import main
+from tkmeans.harness import RunSpec, run_once
 
 TWO_BLOBS = "blobs:k=2,n=25,p=2,std=0.3,box=15,seed=5"
 
@@ -21,6 +23,18 @@ class TestRunCommand:
         assert payload["metrics"]["ari"] == 1.0
         assert payload["iterations"] >= 1
         assert len(payload["labels"]) == 50
+
+    def test_no_fit_flags_keep_the_runspec_defaults(self, capsys, iris_path):
+        for algo in ("tkmeans", "fast-tkmeans++", "tmm"):
+            code, out, _ = run_cli(
+                capsys, "run", "--algo", algo, "--data", str(iris_path), "--k", "3", "--seed", "4"
+            )
+            assert code == 0
+            payload = json.loads(out)
+            result, _ = run_once(RunSpec(algo, str(iris_path), 3), 4)
+            assert payload["labels"] == result.labels.tolist()
+            assert payload["centers"] == result.centers.tolist()
+            assert payload["loss_trace"] == result.loss_trace.tolist()
 
     def test_csv_data_path(self, capsys, iris_path):
         code, out, _ = run_cli(
@@ -94,6 +108,22 @@ class TestBenchCommand:
         cfg.write_text("[row]\nalgo = kmeans\n")
         code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
         assert code == 2
+
+    def test_malformed_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"algo = kmeans\ndata = {TWO_BLOBS}\nk = 2\n")
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert "data error" in err and "no section headers" in err
+
+    def test_shipped_example_config(self, capsys, monkeypatch):
+        # the README's documented command, run from the repository root
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        code, out, _ = run_cli(capsys, "bench", "--config", "demos/bench.cfg", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        assert all(row["error"] is None for row in rows)
 
 
 class TestRobustCommand:

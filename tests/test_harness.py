@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -151,6 +152,18 @@ class TestRunRobustness:
         report = run_robustness(base, [0.2], ["fast-tkmeans++"], repeats=5, base_seed=1)
         assert report.rows[0].ari_mean == 1.0
 
+    def test_failed_cell_isolated(self):
+        # two points in five dimensions: gmm's covariance is singular, kmeans is fine
+        report = run_robustness(
+            "blobs:k=1,n=2,p=5,std=1,seed=0", [0.0], ["gmm", "kmeans"], repeats=1, k=2, ridge=0.0
+        )
+        gmm, km = report.rows
+        assert report.failed
+        assert gmm.name == "gmm/blobs:k=1,n=2,p=5,std=1,seed=0" and gmm.fraction == 0.0
+        assert gmm.dataset == km.dataset and gmm.error.startswith("NumericalError")
+        assert km.name == "kmeans/blobs:k=1,n=2,p=5,std=1,seed=0" and km.fraction == 0.0
+        assert km.error is None and km.mse_mean is not None and len(km.runs) == 1
+
     def test_unlabeled_rejected(self):
         from tkmeans.datasets import Dataset
 
@@ -212,3 +225,54 @@ class TestConfig:
         cfg.write_text(f"[row]\nalgo = kmeans\ndata = {TWO_BLOBS}\nk = 2\nbogus = 1\n")
         with pytest.raises(FormatError):
             load_config(cfg)
+
+    def test_every_field_set(self, tmp_path):
+        expected = RunSpec(
+            algorithm="tmm", data="pts.txt", k=4, repeats=3, base_seed=9, name="all",
+            label_path="parts.txt", label_column="0", standardize=True, max_iter=17, tol=1e-3,
+            nu=2.5, init="kmeanspp", ridge=0.25, fast_alpha=0.125,
+        )
+        defaults = RunSpec(algorithm="kmeans", data="x", k=1)
+        for f in fields(RunSpec):
+            if f.name not in ("algorithm", "data", "k", "name"):
+                assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "[all]\nalgo = tmm\ndata = pts.txt\nk = 4\nrepeats = 3\nbase_seed = 9\n"
+            "labels = parts.txt\nlabel_column = 0\nstandardize = yes\nmax_iter = 17\ntol = 1e-3\n"
+            "nu = 2.5\ninit = kmeanspp\nridge = 0.25\nfast_alpha = 0.125\n"
+        )
+        assert load_config(cfg) == [expected]
+
+    def test_required_keys_only_keep_the_defaults(self, tmp_path):
+        cfg = tmp_path / "min.cfg"
+        cfg.write_text(f"[only]\nalgo = kmeans\ndata = {TWO_BLOBS}\nk = 2\n")
+        assert load_config(cfg) == [RunSpec("kmeans", TWO_BLOBS, 2, name="only")]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"algo = kmeans\ndata = {TWO_BLOBS}\nk = 2\n",  # no section header
+            f"[row]\nalgo = kmeans\ndata = {TWO_BLOBS}\nk = 2\n[row]\nk = 3\n",  # duplicate section
+            f"[row]\nalgo = kmeans\ndata = {TWO_BLOBS}\nk = 2\nk = 3\n",  # duplicate key
+        ],
+        ids=["no-section", "duplicate-section", "duplicate-key"],
+    )
+    def test_malformed_file_is_format_error(self, tmp_path, text):
+        from tkmeans.errors import FormatError
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(FormatError, match="bad.cfg"):
+            load_config(cfg)
+
+    def test_percent_in_a_path_is_literal(self, tmp_path):
+        data = tmp_path / "50%.csv"
+        data.write_text("".join(f"{x},{x % 2},{x % 2}\n" for x in range(8)))
+        cfg = tmp_path / "pct.cfg"
+        cfg.write_text(f"[pct]\nalgo = kmeans\ndata = {data}\nk = 2\n")
+        specs = load_config(cfg)
+        assert specs[0].data == str(data)
+        row = run_bench(specs).rows[0]
+        assert row.error is None and row.ari_mean is not None
+

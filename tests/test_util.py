@@ -10,6 +10,7 @@ from tkmeans.core import FitConfig, fit, fit_fast
 from tkmeans.datasets import Dataset, generate_gaussian_blobs, load_csv_labeled, standardize
 from tkmeans.errors import NumericalError
 from tkmeans.metrics import clustering_mse
+from tkmeans.mixtures import gmm_fit, tmm_fit
 
 
 def _broadcast_sq_dists(x, centers):
@@ -63,6 +64,12 @@ class TestPairwiseSqDists:
                 fit_fast(huge, 3, FitConfig(seed=0))
             with pytest.raises(NumericalError):
                 kmeans_fit(huge, 3, BaselineConfig(seed=0))
+            for mixture_fit in (gmm_fit, tmm_fit):
+                # the default ridge overflows first; a given ridge leaves the initial scatter
+                with pytest.raises(NumericalError, match="rescale the data"):
+                    mixture_fit(huge, 3)
+                with pytest.raises(NumericalError, match="rescale the data"):
+                    mixture_fit(huge, 3, BaselineConfig(seed=0), ridge=1.0)
 
 
 def _iris(iris_path):
