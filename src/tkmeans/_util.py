@@ -62,11 +62,20 @@ def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted seeding; returns k distinct row indices."""
+    """D^2-weighted seeding; returns k distinct row indices.
+
+    Raises ``NumericalError`` when the squared distances to the first
+    center, or their sum, overflow; later distances only shrink ``d2``, so
+    one that overflows to +inf is harmless there.
+    """
     n = x.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+        # a non-finite distance makes the sum non-finite too
+        if not np.isfinite(d2.sum()):
+            raise NumericalError("k-means++ seeding distances overflow float64; rescale the data")
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -76,7 +85,8 @@ def kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
             remaining = np.setdiff1d(np.arange(n), chosen[:j])
             nxt = int(rng.choice(remaining))
         chosen[j] = nxt
-        d2 = np.minimum(d2, ((x - x[nxt]) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, ((x - x[nxt]) ** 2).sum(axis=1))
     return chosen
 
 

@@ -9,11 +9,14 @@ uniform.
 
 Each E-step evaluates all K components in one batched computation (see
 ``_maha_logdet``): one Cholesky of the (K, p, p) covariance stack, one
-inverse of the factors and one whitening GEMM over the data, so the
-Python cost of an iteration does not grow with K.  The M-step scatter
-still runs one plain 2-D GEMM per component (``_scatter``): at N=1500,
-K=15 that loop took 0.6x the time of numpy's stacked matmul at p=2 and
-0.4x at p=16.
+inverse of the factors and one whitening GEMM over the data; one ``exp``
+pass then gives both the row log-likelihoods and the responsibilities.
+The M-step works from sufficient statistics built once per fit
+(``_row_moments``): the data centered at their mean ``c`` and the packed
+upper triangle of each centered row's outer product.  The K means are one
+GEMM of the weights with the centered data and the K scatters one GEMM
+with the packed block (``_scatter``), so the Python cost of an iteration
+does not grow with K.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError, NumericalError
 from .results import ClusteringResult
-from .specialfn import digamma, log_gamma, log_sum_exp
+from .specialfn import _log_normalize, digamma, log_gamma
 
 __all__ = ["MixtureModel", "gmm_fit", "tmm_fit"]
 
@@ -64,7 +67,11 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
         if ridge < 0:
             raise DomainError(f"ridge must be >= 0, got {ridge}")
         return float(ridge)
-    return 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
+    value = 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
+    # data that are not constant need a positive ridge; at tiny scales the variance or 1e-6 of it rounds to 0
+    if value < np.finfo(np.float64).tiny and np.ptp(x, axis=0).any():
+        raise NumericalError("the default ridge underflows float64; rescale the data or pass ridge")
+    return value
 
 
 def _init_mixture(data: Dataset, k: int, cfg: BaselineConfig, ridge: float):
@@ -112,19 +119,65 @@ def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
     return maha, logdet
 
 
-def _scatter(x: np.ndarray, w: np.ndarray, means: np.ndarray, nk: np.ndarray, ridge: float) -> np.ndarray:
-    """Per-component weighted scatter ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``."""
-    k, p = means.shape
+@dataclass(frozen=True)
+class _Moments:
+    """Per-fit sufficient statistics of the data, built by ``_row_moments``."""
+
+    c: np.ndarray  # (p,), the data mean
+    xc: np.ndarray  # (N, p), the data centered at c
+    phi: np.ndarray  # (N, p(p+1)/2), packed upper triangles of xc_i xc_i^T
+    iu: np.ndarray  # row and column of each packed entry
+    ju: np.ndarray
+
+
+def _row_moments(x: np.ndarray) -> _Moments:
+    """Center the data and pack each row's outer product, once per fit.
+
+    ``phi`` is no larger than the (K*p, N) block of ``_maha_logdet``
+    whenever p < 2K.  A product that overflows raises ``NumericalError``.
+    """
+    c = x.mean(axis=0)
+    xc = x - c
+    iu, ju = np.triu_indices(x.shape[1])
+    phi = _finite("the data's second moments", lambda: xc[:, iu] * xc[:, ju])
+    return _Moments(c, xc, phi, iu, ju)
+
+
+def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, ridge: float):
+    """Weighted means and scatters of all K components from the row moments.
+
+    Returns ``(means, covs)``: ``mu_j = sum_i w_ij x_i / mass_j`` and
+    ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``.  The
+    Gaussian fit passes ``w = r`` and ``mass = nk``; the t fit passes ``w =
+    r * u`` and ``mass = sum_i r_ij u_ij``.  The means are one GEMM with
+    the centered data, and the scatters one GEMM with the packed block,
+    ``w.T @ phi``, minus ``mass_j (mu_j - c)(mu_j - c)^T``.  That
+    subtraction gives the centered sum only because ``mu_j`` is the
+    ``w``-weighted mean with ``mass_j = sum_i w_ij``, which is why the
+    means are computed here.  Each packed entry fills both (a, b) and
+    (b, a), so every scatter is exactly symmetric.
+
+    Precision: the subtraction cancels when a component sits far from
+    ``c`` relative to its spread, so the absolute error is about eps *
+    sum_i w_ij |x_i - c|^2 / nk_j, the contract of
+    ``_util.pairwise_sq_dists``; the default ridge (1e-6 of the mean
+    feature variance) exceeds that by about 1e9.
+    """
+    dm = (w.T @ mom.xc) / mass[:, None]
+    k, p = dm.shape
+    v = w.T @ mom.phi
+    v -= mass[:, None] * (dm[:, mom.iu] * dm[:, mom.ju])
+    v /= nk[:, None]
     covs = np.empty((k, p, p))
-    eye = ridge * np.eye(p)
-    for j in range(k):
-        diff = x - means[j]
-        covs[j] = ((w[:, j, None] * diff).T @ diff) / nk[j] + eye
-    return covs
+    covs[:, mom.iu, mom.ju] = v
+    covs[:, mom.ju, mom.iu] = v
+    diag = np.arange(p)
+    covs[:, diag, diag] += ridge
+    return mom.c + dm, covs
 
 
-def _finish(x, weights, means, covs, log_r_fn, trace, start, nu=None):
-    log_r = log_r_fn(weights, means, covs)
+def _finish(log_r, weights, means, covs, trace, start, nu=None):
+    """Result and model from the E-step ``log_r`` of the final parameters."""
     labels = log_r.argmax(axis=1)
     wall = time.perf_counter() - start
     model = MixtureModel(weights.copy(), means.copy(), covs.copy(), nu=nu)
@@ -168,29 +221,31 @@ def gmm_fit(
         maha, logdet = _maha_logdet(x, means, covs)
         return np.log(weights) - 0.5 * (data.p * _LOG_2PI + logdet + maha)
 
+    mom = _row_moments(x)
     trace: list[float] = []
     prev_ll = None
     for _ in range(cfg.max_iter):
         log_r = log_resp(weights, means, covs)
-        row_ll = log_sum_exp(log_r, axis=1)
+        row_ll, r = _log_normalize(log_r)
         ll = float(row_ll.sum())
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) < cfg.tol * max(abs(prev_ll), 1e-12):
             break
         prev_ll = ll
-        r = np.exp(log_r - row_ll[:, None])
         nk = r.sum(axis=0)
         if constrained_alpha is not None:
-            for j in range(k):
-                if nk[j] > 0.0:
-                    means[j] = (r[:, j] @ x) / nk[j]
+            # a component with no mass keeps its mean
+            live = nk > 0.0
+            means[live] = mom.c + (r.T @ mom.xc)[live] / nk[live, None]
             continue
         if (nk <= 0.0).any():
             raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
         weights = nk / data.n
-        means = (r.T @ x) / nk[:, None]
-        covs = _scatter(x, r, means, nk, ridge_v)
-    return _finish(x, weights, means, covs, log_resp, trace, start)
+        means, covs = _scatter(mom, r, nk, nk, ridge_v)
+    else:
+        # stopped by max_iter: the last M-step moved the parameters
+        log_r = log_resp(weights, means, covs)
+    return _finish(log_r, weights, means, covs, trace, start)
 
 
 def tmm_fit(
@@ -223,23 +278,25 @@ def tmm_fit(
     start = time.perf_counter()
     weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
 
-    def log_resp_maha(weights, means, covs):
+    def log_resp(weights, means, covs):
+        """Log responsibilities (unnormalized), the distances and ``log1p(maha / nu)``."""
         maha, logdet = _maha_logdet(x, means, covs)
         const = log_gamma((nu + p) / 2.0) - log_gamma(nu / 2.0) - 0.5 * p * math.log(nu * math.pi)
-        log_r = np.log(weights) + const - 0.5 * logdet - 0.5 * (nu + p) * np.log1p(maha / nu)
-        return log_r, maha
+        lp = np.log1p(maha / nu)
+        log_r = np.log(weights) + const - 0.5 * logdet - 0.5 * (nu + p) * lp
+        return log_r, maha, lp
 
+    mom = _row_moments(x)
     trace: list[float] = []
     prev_ll = None
     for _ in range(cfg.max_iter):
-        log_r, maha = log_resp_maha(weights, means, covs)
-        row_ll = log_sum_exp(log_r, axis=1)
+        log_r, maha, lp = log_resp(weights, means, covs)
+        row_ll, r = _log_normalize(log_r)
         ll = float(row_ll.sum())
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) < cfg.tol * max(abs(prev_ll), 1e-12):
             break
         prev_ll = ll
-        r = np.exp(log_r - row_ll[:, None])
         u = (nu + p) / (nu + maha)
         ru = r * u
         nk = r.sum(axis=0)
@@ -247,14 +304,13 @@ def tmm_fit(
         if (nk <= 0.0).any() or (mass <= 0.0).any():
             raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
         weights = nk / data.n
-        means = (ru.T @ x) / mass[:, None]
-        covs = _scatter(x, ru, means, nk, ridge_v)
+        means, covs = _scatter(mom, ru, mass, nk, ridge_v)
         if fixed_nu is None:
             half = (nu + p) / 2.0
-            log_u_expect = np.log(u) + digamma(half) - math.log(half)
+            # E ln u = ln u + digamma(half) - ln(half), with ln u = ln((nu + p) / nu) - lp
+            log_u_expect = (math.log((nu + p) / nu) + digamma(half) - math.log(half)) - lp
             nu = _util.nu_update(r, log_u_expect, u, nu_bounds, np.ones(k, dtype=bool))
-
-    def log_resp(weights, means, covs):
-        return log_resp_maha(weights, means, covs)[0]
-
-    return _finish(x, weights, means, covs, log_resp, trace, start, nu=nu)
+    else:
+        # stopped by max_iter: the last M-step moved the parameters and nu
+        log_r = log_resp(weights, means, covs)[0]
+    return _finish(log_r, weights, means, covs, trace, start, nu=nu)

@@ -98,6 +98,19 @@ def digamma(x) -> float:
     return acc + math.log(v) - 0.5 / v - tail
 
 
+def _checked_shift(arr: np.ndarray, axis: int | None) -> np.ndarray:
+    """The max of each reduction (kept dims), after the checks ``log_sum_exp`` documents."""
+    if arr.size == 0:
+        raise DomainError("log_sum_exp of an empty collection")
+    # a NaN or +inf entry shows in the max of its reduction
+    shift = np.max(arr, axis=axis, keepdims=True)
+    if np.isnan(shift).any() or np.isposinf(shift).any():
+        raise DomainError("log_sum_exp entries must be < +inf and not NaN")
+    if np.isneginf(shift).any():
+        raise DomainError("log_sum_exp needs at least one finite entry per reduction")
+    return shift
+
+
 def log_sum_exp(values, axis: int | None = None):
     """ln(sum(exp(values))) computed with a max shift.
 
@@ -107,16 +120,27 @@ def log_sum_exp(values, axis: int | None = None):
     otherwise an array reduced along ``axis``.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("log_sum_exp of an empty collection")
-    # a NaN or +inf entry shows in the max of its reduction
-    shift = np.max(arr, axis=axis, keepdims=True)
-    if np.isnan(shift).any() or np.isposinf(shift).any():
-        raise DomainError("log_sum_exp entries must be < +inf and not NaN")
-    if np.isneginf(shift).any():
-        raise DomainError("log_sum_exp needs at least one finite entry per reduction")
+    shift = _checked_shift(arr, axis)
     total = np.sum(np.exp(arr - shift), axis=axis, keepdims=True)
     out = shift + np.log(total)
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def _log_normalize(log_r: np.ndarray):
+    """Row log-sum-exps and row-normalized exponentials of an (N, K) array, from one ``exp`` pass.
+
+    Returns ``(row_ll, r)``: ``row_ll`` equals ``log_sum_exp(log_r,
+    axis=1)`` bit for bit, and ``r = e / e.sum(axis=1)`` with ``e =
+    exp(log_r - max)`` is ``exp(log_r - row_ll)`` up to rounding, each row
+    summing to 1 within a few ulps.  Raises the ``DomainError``s of
+    ``log_sum_exp``.
+    """
+    shift = _checked_shift(log_r, 1)
+    e = log_r - shift
+    np.exp(e, out=e)
+    total = np.sum(e, axis=1, keepdims=True)
+    row_ll = np.squeeze(shift + np.log(total), axis=1)
+    e /= total
+    return row_ll, e

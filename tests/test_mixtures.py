@@ -1,14 +1,17 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from tkmeans.baselines import BaselineConfig, kmeans_fit, kmeanspp_seed
 from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
-from tkmeans.errors import NumericalError
+from tkmeans import mixtures
+from tkmeans.errors import DomainError, NumericalError
 from tkmeans.metrics import adjusted_rand_index
-from tkmeans.mixtures import _maha_logdet, gmm_fit, tmm_fit
-from tkmeans.specialfn import log_sum_exp
+from tkmeans.mixtures import _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
+from tkmeans.specialfn import _log_normalize, log_sum_exp
 
 
 def _solve_maha_logdet(x, mean, cov):
@@ -49,6 +52,116 @@ class TestMahaLogdet:
         covs[2] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # rank 1
         with pytest.raises(NumericalError, match="component 2: covariance is singular"):
             _maha_logdet(x, rng.normal(0, 1, (4, 3)), covs)
+
+
+def _centered_scatter(x, w, mass, nk, ridge):
+    """Per-component reference: the weighted mean, then the weighted sum of centered outer products."""
+    k, p = w.shape[1], x.shape[1]
+    means = np.empty((k, p))
+    covs = np.empty((k, p, p))
+    for j in range(k):
+        means[j] = (w[:, j] @ x) / mass[j]
+        diff = x - means[j]
+        covs[j] = ((w[:, j, None] * diff).T @ diff) / nk[j] + ridge * np.eye(p)
+    return means, covs
+
+
+def _check_scatter(x, r, u, ridge=1e-3):
+    w = r * u
+    mass, nk = w.sum(axis=0), r.sum(axis=0)
+    means, covs = _scatter(_row_moments(x), w, mass, nk, ridge)
+    ref_means, ref_covs = _centered_scatter(x, w, mass, nk, ridge)
+    assert np.array_equal(covs, covs.transpose(0, 2, 1))
+    c = x.mean(axis=0)
+    # the contract: eps-level error relative to each component's weighted spread about c
+    scale = (w * ((x - c) ** 2).sum(axis=1)[:, None]).sum(axis=0) / nk
+    assert (np.abs(covs - ref_covs) <= 1e-12 * scale[:, None, None]).all()
+    assert (np.abs(means - ref_means) <= 1e-12 * (np.abs(c).max() + np.sqrt(scale))[:, None]).all()
+
+
+class TestScatter:
+    @pytest.mark.parametrize("p", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_matches_per_component_centered_sum(self, p, k):
+        rng = np.random.default_rng(100 * p + k)
+        for offset in (0.0, 1e6):
+            x = offset + rng.normal(0, 3, (300, p)) + rng.normal(0, 5, (1, p))
+            r = rng.dirichlet(np.ones(k), 300)
+            _check_scatter(x, r, np.ones((300, k)))  # Gaussian weights: mass == nk
+            _check_scatter(x, r, rng.uniform(0.05, 3.0, (300, k)))  # t weights: mass != nk
+
+    def test_tight_far_clusters(self):
+        rng = np.random.default_rng(3)
+        centers = np.array([[-1e3, 0.0], [1e3, 5.0], [0.0, 1e3]])
+        x = np.repeat(centers, 100, axis=0) + rng.normal(0, 1e-3, (300, 2))
+        r = np.full((300, 3), 1e-9)
+        r[np.arange(300), np.repeat(np.arange(3), 100)] = 1.0
+        r /= r.sum(axis=1, keepdims=True)
+        _check_scatter(x, r, np.ones((300, 3)), ridge=0.0)
+        _check_scatter(x, r, rng.uniform(0.5, 2.0, (300, 3)), ridge=0.0)
+
+    def test_overflowing_moments_are_typed(self):
+        with pytest.raises(NumericalError, match="rescale the data"):
+            _row_moments(np.array([[0.0, 1e200], [0.0, -1e200]]))
+
+
+class TestLogNormalize:
+    def test_row_ll_is_log_sum_exp_and_rows_sum_to_one(self):
+        rng = np.random.default_rng(4)
+        for n, k, spread in [(200, 1, 1.0), (200, 3, 10.0), (500, 15, 300.0), (100, 40, 1e4)]:
+            log_r = rng.normal(0, spread, (n, k)) - 1e3 * rng.random((n, 1))
+            log_r[rng.random((n, k)) < 0.1] = -np.inf
+            log_r[:, 0] = rng.normal(0, spread, n)  # keep one finite entry per row
+            before = log_r.copy()
+            row_ll, r = _log_normalize(log_r)
+            assert np.array_equal(log_r, before)
+            assert np.array_equal(row_ll, log_sum_exp(log_r, axis=1))
+            assert np.abs(r.sum(axis=1) - 1.0).max() <= 1e-15
+            # the two-pass form loses about eps * |log_r - row_ll| relative in its exp; subnormals lose more
+            assert np.allclose(r, np.exp(log_r - row_ll[:, None]), rtol=1e-10, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "bad_row", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, -np.inf]], ids=["nan", "posinf", "all-neginf"]
+    )
+    def test_domain_errors_match_log_sum_exp(self, bad_row):
+        m = np.zeros((3, 2))
+        m[1] = bad_row
+        with pytest.raises(DomainError) as expected:
+            log_sum_exp(m, axis=1)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            _log_normalize(m)
+
+
+class TestEStepCount:
+    """One E-step per iteration; the final labels reuse the last one unless max_iter moved the parameters."""
+
+    @pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
+    @pytest.mark.parametrize("max_iter, stops_on_tol", [(300, True), (4, False)])
+    def test_calls_per_fit(self, monkeypatch, fit, max_iter, stops_on_tol):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _maha_logdet(*args)
+
+        monkeypatch.setattr(mixtures, "_maha_logdet", counting)
+        d = generate_gaussian_blobs(3, 40, 2, center_box=20.0, cluster_std=1.0, seed=4)
+        result, _ = fit(d, 3, BaselineConfig(seed=1, max_iter=max_iter))
+        assert (result.iterations < max_iter) == stops_on_tol
+        assert len(calls) == result.iterations + (0 if stops_on_tol else 1)
+
+
+def test_default_ridge_underflow_is_named():
+    d = generate_gaussian_blobs(3, 20, 2, seed=0)
+    tiny = Dataset(d.samples * 1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mixture_fit in (gmm_fit, tmm_fit):
+            with pytest.raises(NumericalError, match="default ridge underflows"):
+                mixture_fit(tiny, 3)
+            # constant data keep ridge 0 and report the singular covariance itself
+            with pytest.raises(NumericalError, match="covariance is singular"):
+                mixture_fit(Dataset(np.full((10, 2), 1e-170)), 1)
 
 
 class TestGmm:

@@ -64,12 +64,20 @@ class TestPairwiseSqDists:
                 fit_fast(huge, 3, FitConfig(seed=0))
             with pytest.raises(NumericalError):
                 kmeans_fit(huge, 3, BaselineConfig(seed=0))
+            # k-means++ seeding squares the raw differences
+            with pytest.raises(NumericalError, match="rescale the data"):
+                kmeans_fit(huge, 3, BaselineConfig(seed=0, init="kmeanspp"))
+            with pytest.raises(NumericalError, match="rescale the data"):
+                fit_fast(huge, 3, FitConfig(seed=0, init="kmeanspp"))
             for mixture_fit in (gmm_fit, tmm_fit):
                 # the default ridge overflows first; a given ridge leaves the initial scatter
                 with pytest.raises(NumericalError, match="rescale the data"):
                     mixture_fit(huge, 3)
                 with pytest.raises(NumericalError, match="rescale the data"):
                     mixture_fit(huge, 3, BaselineConfig(seed=0), ridge=1.0)
+                # the default config seeds with k-means++
+                with pytest.raises(NumericalError, match="rescale the data"):
+                    mixture_fit(huge, 3, ridge=1.0)
 
 
 def _iris(iris_path):
