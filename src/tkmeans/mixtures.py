@@ -12,11 +12,12 @@ Each E-step evaluates all K components in one batched computation (see
 inverse of the factors and one whitening GEMM over the data; one ``exp``
 pass then gives both the row log-likelihoods and the responsibilities.
 The M-step works from sufficient statistics built once per fit
-(``_row_moments``): the data centered at their mean ``c`` and the packed
-upper triangle of each centered row's outer product.  The K means are one
-GEMM of the weights with the centered data and the K scatters one GEMM
-with the packed block (``_scatter``), so the Python cost of an iteration
-does not grow with K.
+(``_row_moments``): the data centered at their mean ``c`` and, when
+p < 2K, the packed upper triangle of each centered row's outer product.
+The K means are one GEMM of the weights with the centered data and the K
+scatters one GEMM with the packed block, or with a weighted copy of the
+data when p >= 2K (``_scatter``), so the Python cost of an iteration does
+not grow with K.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
         return float(ridge)
     value = 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
     # data that are not constant need a positive ridge; at tiny scales the variance or 1e-6 of it rounds to 0
-    if value < np.finfo(np.float64).tiny and np.ptp(x, axis=0).any():
+    if value == 0.0 and np.ptp(x, axis=0).any():
         raise NumericalError("the default ridge underflows float64; rescale the data or pass ridge")
     return value
 
@@ -125,22 +126,41 @@ class _Moments:
 
     c: np.ndarray  # (p,), the data mean
     xc: np.ndarray  # (N, p), the data centered at c
-    phi: np.ndarray  # (N, p(p+1)/2), packed upper triangles of xc_i xc_i^T
+    phi: np.ndarray | None  # (N, p(p+1)/2), packed upper triangles of xc_i xc_i^T; None when p >= 2K
     iu: np.ndarray  # row and column of each packed entry
     ju: np.ndarray
+    diag: np.ndarray  # the packed entries on the diagonal
 
 
-def _row_moments(x: np.ndarray) -> _Moments:
-    """Center the data and pack each row's outer product, once per fit.
+def _row_moments(x: np.ndarray, k: int) -> _Moments:
+    """Center the data and, when p < 2K, pack each row's outer product, once per fit.
 
-    ``phi`` is no larger than the (K*p, N) block of ``_maha_logdet``
-    whenever p < 2K.  A product that overflows raises ``NumericalError``.
+    ``phi`` holds N p(p+1)/2 floats, so its memory grows as p^2.  It is
+    built only when p < 2K, where it is no larger than the (K*p, N) block
+    of ``_maha_logdet``; wider data get their second moments from an
+    (N, K*p) weighted copy of the data in each ``_scatter`` instead.  A
+    squared entry that overflows raises ``NumericalError``; every product
+    in ``phi`` is bounded by the larger of two such squares.
     """
     c = x.mean(axis=0)
     xc = x - c
+    _finite("the data's second moments", lambda: xc * xc)
     iu, ju = np.triu_indices(x.shape[1])
-    phi = _finite("the data's second moments", lambda: xc[:, iu] * xc[:, ju])
-    return _Moments(c, xc, phi, iu, ju)
+    phi = xc[:, iu] * xc[:, ju] if x.shape[1] < 2 * k else None
+    return _Moments(c, xc, phi, iu, ju, np.flatnonzero(iu == ju))
+
+
+def _second_moments(mom: _Moments, w: np.ndarray) -> np.ndarray:
+    """Packed ``sum_i w_ij xc_i xc_i^T`` for every column j of ``w``, as a (K, p(p+1)/2) array.
+
+    One GEMM, ``w.T @ phi``; without ``phi`` (p >= 2K) the (N, K*p) block
+    of ``w_ij xc_i`` times ``xc``.
+    """
+    if mom.phi is not None:
+        return w.T @ mom.phi
+    k, p = w.shape[1], mom.xc.shape[1]
+    wx = (w[:, :, None] * mom.xc[:, None, :]).reshape(-1, k * p)
+    return (wx.T @ mom.xc).reshape(k, p, p)[:, mom.iu, mom.ju]
 
 
 def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, ridge: float):
@@ -150,23 +170,31 @@ def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, rid
     ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``.  The
     Gaussian fit passes ``w = r`` and ``mass = nk``; the t fit passes ``w =
     r * u`` and ``mass = sum_i r_ij u_ij``.  The means are one GEMM with
-    the centered data, and the scatters one GEMM with the packed block,
-    ``w.T @ phi``, minus ``mass_j (mu_j - c)(mu_j - c)^T``.  That
+    the centered data; the scatters are the second moments about ``c``
+    (``_second_moments``) minus ``mass_j (mu_j - c)(mu_j - c)^T``.  That
     subtraction gives the centered sum only because ``mu_j`` is the
     ``w``-weighted mean with ``mass_j = sum_i w_ij``, which is why the
     means are computed here.  Each packed entry fills both (a, b) and
     (b, a), so every scatter is exactly symmetric.
 
     Precision: the subtraction cancels when a component sits far from
-    ``c`` relative to its spread, so the absolute error is about eps *
+    ``c`` relative to its spread, so its absolute error is about eps *
     sum_i w_ij |x_i - c|^2 / nk_j, the contract of
-    ``_util.pairwise_sq_dists``; the default ridge (1e-6 of the mean
-    feature variance) exceeds that by about 1e9.
+    ``_util.pairwise_sq_dists``.  A component with a variance below 1e-6
+    of that spread (a tight cluster far from ``c``, or one that collapsed)
+    is recomputed as the weighted sum of outer products centered at its
+    own mean, so no variance loses more than about 1e-9 of itself to the
+    cancellation, also with ``ridge = 0``.
     """
     dm = (w.T @ mom.xc) / mass[:, None]
     k, p = dm.shape
-    v = w.T @ mom.phi
+    v = _second_moments(mom, w)
+    spread = v[:, mom.diag].sum(axis=1)
     v -= mass[:, None] * (dm[:, mom.iu] * dm[:, mom.ju])
+    near = (v[:, mom.diag] < 1e-6 * spread[:, None]).any(axis=1)
+    if near.any():
+        d = mom.xc - dm[near, None, :]
+        v[near] = ((d * w.T[near, :, None]).transpose(0, 2, 1) @ d)[:, mom.iu, mom.ju]
     v /= nk[:, None]
     covs = np.empty((k, p, p))
     covs[:, mom.iu, mom.ju] = v
@@ -221,7 +249,7 @@ def gmm_fit(
         maha, logdet = _maha_logdet(x, means, covs)
         return np.log(weights) - 0.5 * (data.p * _LOG_2PI + logdet + maha)
 
-    mom = _row_moments(x)
+    mom = _row_moments(x, k)
     trace: list[float] = []
     prev_ll = None
     for _ in range(cfg.max_iter):
@@ -286,7 +314,7 @@ def tmm_fit(
         log_r = np.log(weights) + const - 0.5 * logdet - 0.5 * (nu + p) * lp
         return log_r, maha, lp
 
-    mom = _row_moments(x)
+    mom = _row_moments(x, k)
     trace: list[float] = []
     prev_ll = None
     for _ in range(cfg.max_iter):

@@ -10,7 +10,7 @@ from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
 from tkmeans import mixtures
 from tkmeans.errors import DomainError, NumericalError
 from tkmeans.metrics import adjusted_rand_index
-from tkmeans.mixtures import _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
+from tkmeans.mixtures import _maha_logdet, _row_moments, _scatter, _second_moments, gmm_fit, tmm_fit
 from tkmeans.specialfn import _log_normalize, log_sum_exp
 
 
@@ -69,7 +69,7 @@ def _centered_scatter(x, w, mass, nk, ridge):
 def _check_scatter(x, r, u, ridge=1e-3):
     w = r * u
     mass, nk = w.sum(axis=0), r.sum(axis=0)
-    means, covs = _scatter(_row_moments(x), w, mass, nk, ridge)
+    means, covs = _scatter(_row_moments(x, w.shape[1]), w, mass, nk, ridge)
     ref_means, ref_covs = _centered_scatter(x, w, mass, nk, ridge)
     assert np.array_equal(covs, covs.transpose(0, 2, 1))
     c = x.mean(axis=0)
@@ -90,6 +90,21 @@ class TestScatter:
             _check_scatter(x, r, np.ones((300, k)))  # Gaussian weights: mass == nk
             _check_scatter(x, r, rng.uniform(0.05, 3.0, (300, k)))  # t weights: mass != nk
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_second_moments_match_the_weighted_outer_products(self, p, k):
+        # p < 2K reads the packed block, p >= 2K the weighted copy of the data
+        rng = np.random.default_rng(200 * p + k)
+        x = rng.normal(0, 3, (300, p)) + 1e6
+        w = rng.dirichlet(np.ones(k), 300) * rng.uniform(0.05, 3.0, (300, k))
+        mom = _row_moments(x, k)
+        assert (mom.phi is None) == (p >= 2 * k)
+        xc = x - x.mean(axis=0)
+        ref = np.einsum("nk,na,nb->kab", w, xc, xc)
+        iu, ju = np.triu_indices(p)
+        scale = (w * (xc**2).sum(axis=1)[:, None]).sum(axis=0)
+        assert (np.abs(_second_moments(mom, w) - ref[:, iu, ju]) <= 1e-13 * scale[:, None]).all()
+
     def test_tight_far_clusters(self):
         rng = np.random.default_rng(3)
         centers = np.array([[-1e3, 0.0], [1e3, 5.0], [0.0, 1e3]])
@@ -100,9 +115,30 @@ class TestScatter:
         _check_scatter(x, r, np.ones((300, 3)), ridge=0.0)
         _check_scatter(x, r, rng.uniform(0.5, 2.0, (300, 3)), ridge=0.0)
 
-    def test_overflowing_moments_are_typed(self):
+    def test_tightest_far_clusters_without_ridge(self):
+        # spread 1e-6 at distance 1e3: the moment subtraction alone would err by more than the scatter itself
+        rng = np.random.default_rng(5)
+        centers = np.array([[-1e3, 0.0], [1e3, 5.0], [0.0, 1e3]])
+        labels = np.repeat(np.arange(3), 100)
+        x = centers[labels] + rng.normal(0, 1e-6, (300, 2))
+        r = np.zeros((300, 3))
+        r[np.arange(300), labels] = 1.0
+        for k in (2, 3):  # p < 2K packs the moments; p >= 2K forms them from the weighted data
+            rk = r[:, :k]
+            rows = labels < k
+            for u in (np.ones((300, 3)), rng.uniform(0.5, 2.0, (300, 3))):
+                w = rk[rows] * u[rows, :k]
+                mass, nk = w.sum(axis=0), rk[rows].sum(axis=0)
+                _, covs = _scatter(_row_moments(x[rows], k), w, mass, nk, 0.0)
+                _, ref = _centered_scatter(x[rows], w, mass, nk, 0.0)
+                variance = np.diagonal(ref, axis1=1, axis2=2).max(axis=1)
+                # centering rounds each entry by about eps * 1e3, 1e-7 of the spread; cancellation would cost 1e2
+                assert (np.abs(covs - ref) <= 1e-6 * variance[:, None, None]).all()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_moments_are_typed(self, k):
         with pytest.raises(NumericalError, match="rescale the data"):
-            _row_moments(np.array([[0.0, 1e200], [0.0, -1e200]]))
+            _row_moments(np.array([[0.0, 1e200], [0.0, -1e200]]), k)
 
 
 class TestLogNormalize:
@@ -162,6 +198,17 @@ def test_default_ridge_underflow_is_named():
             # constant data keep ridge 0 and report the singular covariance itself
             with pytest.raises(NumericalError, match="covariance is singular"):
                 mixture_fit(Dataset(np.full((10, 2), 1e-170)), 1)
+
+
+def test_small_scale_with_a_subnormal_default_ridge_still_fits():
+    # at scale 1e-152 the variance (~1e-304) is normal and 1e-6 of it a subnormal that still adds to it
+    d = generate_gaussian_blobs(3, 20, 2, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mixture_fit in (gmm_fit, tmm_fit):
+            reference, _ = mixture_fit(d, 3)
+            result, _ = mixture_fit(Dataset(d.samples * 1e-152), 3)
+            assert adjusted_rand_index(reference.labels, result.labels) == 1.0
 
 
 class TestGmm:

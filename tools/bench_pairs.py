@@ -7,14 +7,15 @@ Run from the root of a checkout::
 
 Each revision is exported with ``git archive`` into a temporary
 directory, so only committed files take part.  Pair i runs
-``perfbench/run.py --workload W --seed <seed + i> --seconds S --trace 0``
-on both trees one after the other, the parent first in even pairs and the
+``perfbench/run.py --workload W --seed <seed + i> --seconds S --trace 0``,
+with ``S`` the ``run_seconds`` of the change's ``BENCHMARK.json``, on both
+trees one after the other, the parent first in even pairs and the
 change first in odd ones, so host-speed drift within a pair shows in its
 change/parent ratio rather than in one side's numbers.  The output holds
-the machine record of the first run, each pair's end-to-end metrics and
-ratios, and per metric the median and quartiles of each side, of the
-ratio, and the number of pairs the change won (direction from
-``BENCHMARK.json``).  Standard library only.
+``run_seconds``, the machine record of the first run, each pair's
+end-to-end metrics and ratios, and per metric the median and quartiles of
+each side, of the ratio, and the number of pairs the change won
+(direction from ``BENCHMARK.json``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -80,18 +81,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="workload seed of pair 0; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    report = {"seconds": args.seconds, "machine": None, "workloads": {}}
+    report = {"run_seconds": None, "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         for side, tree in trees.items():
             report[side] = export(getattr(args, side), tree)
-        better = {m["name"]: m["better"] for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+        benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        report["run_seconds"] = benchmark["run_seconds"]
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 row = {"seed": seed, "first": order[0]}
                 for side in order:
-                    info, result = run_bench(trees[side], workload, seed, args.seconds)
+                    info, result = run_bench(trees[side], workload, seed, report["run_seconds"])
                     if report["machine"] is None:
                         report["machine"] = {k: v for k, v in info["env"].items() if k not in ("workload_seed", "git_commit")}
                     row[side] = {name: m["value"] for name, m in result["metrics"].items()}
