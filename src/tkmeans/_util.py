@@ -19,21 +19,35 @@ def check_k(k: int, n: int) -> int:
 
 
 def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (N, K), in GEMM form.
+    """Squared Euclidean distances, shape (len(x), len(centers)), in GEMM form.
 
-    With ``m`` the mean of the centers, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T +
-    |c-m|^2``: one matrix product, no (N, K, p) temporary.  The shift by
-    ``m`` keeps the cancellation error near eps * (|x-m|^2 + |c-m|^2)
-    however far the data sit from the origin; the result is clamped at 0.
-    Raises ``NumericalError`` when a distance overflows (or is NaN).
+    With ``f`` the argument with fewer rows (``centers`` on a tie) and
+    ``m`` its mean, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T + |c-m|^2``: one matrix
+    product, no (N, K, p) temporary.  The shift by ``m`` keeps the
+    cancellation error near eps * (|x-m|^2 + |c-m|^2) however far the data
+    sit from the origin; the result is clamped at 0.  The ``-2`` scales
+    ``f`` and the norms of the longer argument are added first, so
+    ``pairwise_sq_dists(centers, x)`` runs the operations of
+    ``pairwise_sq_dists(x, centers)`` on transposed operands: equal up to
+    the GEMM's summation order, but C-ordered (K, N), whose ``.T`` is a
+    column-major (N, K) view.  Raises ``NumericalError`` when a distance
+    overflows (or is NaN).
     """
-    shift = centers.mean(axis=0)
+    few_first = x.shape[0] < centers.shape[0]
+    shift = (x if few_first else centers).mean(axis=0)
     xs = x - shift
     cs = centers - shift
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = xs @ (-2.0 * cs.T)
-        d2 += np.einsum("np,np->n", xs, xs)[:, None]
-        d2 += np.einsum("kp,kp->k", cs, cs)
+        x_sq = np.einsum("np,np->n", xs, xs)[:, None]
+        c_sq = np.einsum("kp,kp->k", cs, cs)
+        if few_first:
+            d2 = (-2.0 * xs) @ cs.T
+            d2 += c_sq
+            d2 += x_sq
+        else:
+            d2 = xs @ (-2.0 * cs.T)
+            d2 += x_sq
+            d2 += c_sq
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2).all():
         raise NumericalError("squared distances overflow float64; rescale the data")
@@ -57,8 +71,18 @@ def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bound
 
 
 def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Manhattan distances, shape (N, K)."""
-    return np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)
+    """Manhattan distances, shape (N, K).
+
+    Accumulated one coordinate at a time, so one (N, K) buffer is the only
+    temporary, whatever p is.  The coordinates are added in order, which
+    matches numpy's row sum bit for bit for p < 8.
+    """
+    d1 = np.zeros((x.shape[0], centers.shape[0]))
+    buf = np.empty_like(d1)
+    for col, c in zip(x.T, centers.T):
+        np.subtract(col[:, None], c, out=buf)
+        d1 += np.abs(buf, out=buf)
+    return d1
 
 
 def kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,7 +200,15 @@ def reseed_empty_clusters(x, assign, centers, dist_assigned, k, metric="sq"):
 
 
 def cluster_means(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster means of the rows of ``x``, shape (k, p).
+
+    Each coordinate's cluster sums come from one ``bincount``, which adds
+    the members in row order as ``x[assign == j].mean(axis=0)`` does for
+    p >= 2, so the two agree bit for bit there; for p = 1 numpy's mean
+    sums pairwise and they differ by rounding.
+    """
     means = np.empty((k, x.shape[1]), dtype=np.float64)
-    for j in range(k):
-        means[j] = x[assign == j].mean(axis=0)
+    for a, col in enumerate(x.T):
+        means[:, a] = np.bincount(assign, weights=col, minlength=k)
+    means /= np.bincount(assign, minlength=k)[:, None]
     return means

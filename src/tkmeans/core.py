@@ -31,7 +31,7 @@ from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError
 from .results import ClusteringResult
-from .specialfn import digamma, log_gamma, log_sum_exp
+from .specialfn import _log_normalize, digamma, log_gamma, log_sum_exp
 
 __all__ = [
     "TkModel",
@@ -135,49 +135,58 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
         raise DomainError(f"nu must be finite and > 0, got {nu}")
     p = xv.shape[0]
     d2 = float(((xv - cv) ** 2).sum())
+    return _log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
+
+
+def _log_t_const(p: int, alpha: float, nu: float) -> float:
+    """The part of ln t that does not depend on the distance."""
     return (
         log_gamma((nu + p) / 2.0)
         - log_gamma(nu / 2.0)
         - 0.5 * p * math.log(nu * math.pi)
         - 0.5 * p * math.log(alpha)
-        - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
     )
 
 
 def _sq_dists_to(data: Dataset, centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances as a view of C-ordered (K, N) memory."""
     if data.p != centers.shape[1]:
         raise DomainError(f"data has p={data.p} but centers have p={centers.shape[1]}")
-    return _util.pairwise_sq_dists(data.samples, centers)
+    return _util.pairwise_sq_dists(centers, data.samples).T
 
 
-def _log_t_matrix(d2: np.ndarray, p: int, alpha: float, nu: float) -> np.ndarray:
-    const = (
-        log_gamma((nu + p) / 2.0)
-        - log_gamma(nu / 2.0)
-        - 0.5 * p * math.log(nu * math.pi)
-        - 0.5 * p * math.log(alpha)
-    )
-    logt = np.log1p(d2 / (nu * alpha))
-    logt *= -0.5 * (nu + p)
-    logt += const
+def _log1p_scaled(d2: np.ndarray, model: TkModel) -> np.ndarray:
+    lp = d2 / (model.nu * model.alpha)
+    return np.log1p(lp, out=lp)
+
+
+def _log_t_matrix(lp: np.ndarray, model: TkModel) -> np.ndarray:
+    """ln t of every pair from ``lp = log1p(d2 / (nu*alpha))``, in the layout of ``lp``."""
+    logt = lp * (-0.5 * (model.nu + model.p))
+    logt += _log_t_const(model.p, model.alpha, model.nu)
     return logt
 
 
 def _e_step(d2: np.ndarray, model: TkModel) -> tuple[EStepResult, np.ndarray]:
-    """E-step from the (N, K) squared distances; also returns the row log-sum-exp of ln t."""
+    """E-step from the (N, K) squared distances; also returns the row log-sum-exp of ln t.
+
+    Component-major: ``d2`` comes from ``_sq_dists_to`` as a view of (K, N)
+    memory, and every (N, K) matrix made here keeps that layout, so the
+    reductions over K here and in the M-step run along contiguous rows.
+    One ``exp`` pass gives both the row log-sum-exps and ``tau``, normalized
+    in place, and ``E ln u`` reuses the ``log1p`` of ln t:
+    ``ln u = ln((nu+p)/nu) - log1p(d2/(nu*alpha))``.
+    """
     p, nu, alpha = model.p, model.nu, model.alpha
-    logt = _log_t_matrix(d2, p, alpha, nu)
-    lse = log_sum_exp(logt, axis=1)
+    lp = _log1p_scaled(d2, model)
+    logt = _log_t_matrix(lp, model)
     # in place: every (N, K) temporary is one more live matrix at the peak
-    logt -= lse[:, None]
-    tau = np.exp(logt, out=logt)
+    lse, tau = _log_normalize(logt, out=logt)
     u = d2 / alpha
     u += nu
     np.divide(nu + p, u, out=u)
     half = (nu + p) / 2.0
-    log_u_expect = np.log(u)
-    log_u_expect += digamma(half)
-    log_u_expect -= math.log(half)
+    log_u_expect = np.subtract(math.log((nu + p) / nu) + digamma(half) - math.log(half), lp, out=lp)
     return EStepResult(tau, u, log_u_expect), lse
 
 
@@ -213,7 +222,7 @@ def _m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> tu
                 centers[j] = x[worst[used]]
                 used += 1
 
-    d2_new = _util.pairwise_sq_dists(x, centers)
+    d2_new = _sq_dists_to(data, centers)
     tau_total = float(e.tau.sum())
     alpha = float((w * d2_new).sum() / (p * tau_total))
     alpha = max(alpha, cfg.alpha_floor)
@@ -267,15 +276,14 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     raw weighted log-distance sum of :func:`log_l2_loss` is not once the
     shared scale is re-estimated each step.
     """
-    d2 = _sq_dists_to(data, model.centers)
-    logt = _log_t_matrix(d2, model.p, model.alpha, model.nu)
-    return _nll(log_sum_exp(logt, axis=1), model.k)
+    lp = _log1p_scaled(_sq_dists_to(data, model.centers), model)
+    return _nll(log_sum_exp(_log_t_matrix(lp, model), axis=1), model.k)
 
 
 def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float) -> TkModel:
     rng = np.random.default_rng(cfg.seed)
     centers, _ = _util.init_centers(data.samples, k, rng, cfg.init)
-    d2 = _util.pairwise_sq_dists(data.samples, centers)
+    d2 = _sq_dists_to(data, centers)
     alpha0 = float(d2.min(axis=1).mean()) / data.p
     return TkModel(centers, max(alpha0, cfg.alpha_floor), nu0)
 
