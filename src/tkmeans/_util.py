@@ -37,17 +37,16 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     shift = (x if few_first else centers).mean(axis=0)
     xs = x - shift
     cs = centers - shift
+    # each norm vector is freed once added, so none is live beside the result
     with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = np.einsum("np,np->n", xs, xs)[:, None]
-        c_sq = np.einsum("kp,kp->k", cs, cs)
         if few_first:
             d2 = (-2.0 * xs) @ cs.T
-            d2 += c_sq
-            d2 += x_sq
+            d2 += np.einsum("kp,kp->k", cs, cs)
+            d2 += np.einsum("np,np->n", xs, xs)[:, None]
         else:
             d2 = xs @ (-2.0 * cs.T)
-            d2 += x_sq
-            d2 += c_sq
+            d2 += np.einsum("np,np->n", xs, xs)[:, None]
+            d2 += np.einsum("kp,kp->k", cs, cs)
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2).all():
         raise NumericalError("squared distances overflow float64; rescale the data")

@@ -10,7 +10,10 @@ update.  The M-step moves every center to its tau*u-weighted mean over
 ``nu`` through a closed-form approximation.  Each iteration of ``fit``
 computes one (N, K) squared-distance matrix, to the new centers, and that
 one matrix serves the ``alpha`` update, the iteration's negative log
-likelihood and the next E-step.
+likelihood and the next E-step.  The iteration is component-major: that
+matrix, and every (N, K) matrix derived from it, is a view of C-ordered
+(K, N) memory, so the reductions over K run along contiguous rows, and
+one ``exp`` pass per E-step gives both the log likelihood and ``tau``.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It

@@ -103,6 +103,55 @@ class TestEStep:
         with pytest.raises(DomainError):
             e_step(Dataset([[0.0, 1.0]]), TkModel([[0.0]], 1.0, 1.0))
 
+    def test_log_u_expect_from_log1p_matches_log_u(self):
+        from scipy.special import digamma as sp_digamma
+
+        rng = np.random.default_rng(8)
+        for p, nu, alpha in [(1, 1.0, 0.3), (2, 3.0, 1.0), (16, 200.0, 5.0), (4, 1.5, 1e-3)]:
+            d = Dataset(rng.normal(0, 3, (300, p)))
+            e = e_step(d, TkModel(rng.normal(0, 3, (5, p)), alpha, nu))
+            half = (nu + p) / 2.0
+            expected = np.log(e.u) + sp_digamma(half) - math.log(half)
+            assert np.abs(e.log_u_expect - expected).max() < 1e-12
+
+    def test_component_major_layout_during_a_fit(self, monkeypatch):
+        # reductions over K run along contiguous rows only if every (N, K) matrix is a view of (K, N) memory
+        from tkmeans import core
+
+        seen = []
+        inner = core._e_step
+
+        def recording(d2, model):
+            e, lse = inner(d2, model)
+            seen.append((d2, e))
+            return e, lse
+
+        monkeypatch.setattr(core, "_e_step", recording)
+        d = generate_gaussian_blobs(4, 50, 3, seed=2)
+        fit(d, 4, FitConfig(seed=0, max_iter=6))
+        assert len(seen) > 2
+        for d2, e in seen:
+            for m in (d2, e.tau, e.u, e.log_u_expect):
+                assert m.shape == (d.n, 4) and m.T.flags.c_contiguous
+
+    def test_e_step_holds_no_extra_matrix(self):
+        # log1p, tau (normalized in place) and u: three (N, K) matrices beside the distances
+        import tracemalloc
+
+        from tkmeans import core
+
+        n, k = 20_000, 10
+        d = generate_gaussian_blobs(k, n // k, 2, seed=3)
+        model = TkModel(d.samples[:k], 1.0, 3.0)
+        d2 = core._sq_dists_to(d, model.centers)
+        tracemalloc.start()
+        try:
+            core._e_step(d2, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * k * 8
+
 
 def _estep_result(tau, u, log_u_expect=None):
     tau = np.asarray(tau, dtype=float)

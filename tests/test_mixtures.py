@@ -166,6 +166,18 @@ class TestLogNormalize:
             log_sum_exp(m, axis=1)
         with pytest.raises(DomainError, match=re.escape(str(expected.value))):
             _log_normalize(m)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            _log_normalize(m, out=m)
+
+    def test_out_receives_the_normalized_rows(self):
+        rng = np.random.default_rng(9)
+        log_r = rng.normal(0, 20, (300, 7))
+        row_ll, r = _log_normalize(log_r)
+        for a in (log_r.copy(), np.asfortranarray(log_r)):
+            row_ll_out, r_out = _log_normalize(a, out=a)
+            assert r_out is a
+            assert np.array_equal(row_ll_out, row_ll)
+            assert np.allclose(r_out, r, rtol=1e-15, atol=0.0)
 
 
 class TestEStepCount:

@@ -38,6 +38,39 @@ class TestPairwiseSqDists:
                 err = np.abs(_util.pairwise_sq_dists(x, centers) - _broadcast_sq_dists(x, centers))
                 assert (err <= 1e-12 * scale).all()
 
+    def test_x_centers_call_keeps_the_centers_shift(self):
+        # the formula as it stood when the shift always came from the centers
+        def centers_shifted(x, centers):
+            shift = centers.mean(axis=0)
+            xs, cs = x - shift, centers - shift
+            d2 = xs @ (-2.0 * cs.T)
+            d2 += np.einsum("np,np->n", xs, xs)[:, None]
+            d2 += np.einsum("kp,kp->k", cs, cs)
+            return np.maximum(d2, 0.0)
+
+        rng = np.random.default_rng(5)
+        for n, k, p in [(50, 1, 1), (300, 4, 2), (200, 15, 16), (40, 40, 3)]:
+            for offset in (0.0, 1e6):
+                x = offset + rng.normal(0, 3, (n, p))
+                centers = offset + rng.normal(0, 3, (k, p))
+                assert np.array_equal(_util.pairwise_sq_dists(x, centers), centers_shifted(x, centers))
+
+    def test_swapped_arguments_give_the_transpose_in_c_order(self):
+        rng = np.random.default_rng(6)
+        for n, k, p in [(50, 1, 1), (300, 4, 2), (200, 15, 16), (40, 40, 3)]:
+            for offset in (0.0, 1e6):
+                x = offset + rng.normal(0, 3, (n, p))
+                centers = offset + rng.normal(0, 3, (k, p))
+                # a tie (N = K) takes the shift from the second argument, here x
+                m = x.mean(axis=0) if n == k else centers.mean(axis=0)
+                scale = ((x - m) ** 2).sum(axis=1)[None, :] + ((centers - m) ** 2).sum(axis=1)[:, None]
+                swapped = _util.pairwise_sq_dists(centers, x)
+                assert swapped.shape == (k, n) and swapped.flags.c_contiguous
+                assert (np.abs(swapped - _broadcast_sq_dists(centers, x)) <= 1e-12 * scale).all()
+                m = centers.mean(axis=0)
+                scale += ((x - m) ** 2).sum(axis=1)[None, :] + ((centers - m) ** 2).sum(axis=1)[:, None]
+                assert (np.abs(swapped - _util.pairwise_sq_dists(x, centers).T) <= 1e-12 * scale).all()
+
     def test_memory_stays_below_the_broadcast_temporary(self):
         n, k, p = 4000, 20, 32
         rng = np.random.default_rng(2)
@@ -50,6 +83,21 @@ class TestPairwiseSqDists:
         finally:
             tracemalloc.stop()
         assert peak < n * k * p * 8 / 4
+
+    def test_peak_is_the_result_the_shifted_data_and_the_finiteness_mask(self):
+        # no norm vector may stay live beside them: at 100k x 2, K=50 that is 0.8 MB of the peak
+        n, k, p = 20_000, 50, 2
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 1, (n, p))
+        centers = rng.normal(0, 1, (k, p))
+        for args in ((x, centers), (centers, x)):
+            tracemalloc.start()
+            try:
+                _util.pairwise_sq_dists(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * p * 8 + n * k * 9 + 64 * 1024
 
     def test_overflow_raises_typed_error_through_every_caller(self):
         d = generate_gaussian_blobs(3, 20, 2, seed=0)
@@ -78,6 +126,49 @@ class TestPairwiseSqDists:
                 # the default config seeds with k-means++
                 with pytest.raises(NumericalError, match="rescale the data"):
                     mixture_fit(huge, 3, ridge=1.0)
+
+
+class TestPairwiseL1Dists:
+    @staticmethod
+    def _data(n, k, p, seed=7):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 3, (n, p))
+        return x, x[rng.choice(n, k, replace=False)] + rng.normal(0, 0.1, (k, p))
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_bit_identical_to_the_broadcast_sum_below_eight_coordinates(self, p):
+        for n, k in [(300, 4), (1500, 15), (20, 20)]:
+            x, centers = self._data(n, k, p)
+            expected = np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)
+            assert np.array_equal(_util.pairwise_l1_dists(x, centers), expected)
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_wide_data_within_rounding_of_the_row_sum(self, p):
+        x, centers = self._data(3000, 15, p)
+        expected = np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)
+        assert (np.abs(_util.pairwise_l1_dists(x, centers) - expected) <= 1e-15 * expected).all()
+
+    def test_memory_stays_below_the_broadcast_temporary(self):
+        n, k, p = 4000, 20, 32
+        x, centers = self._data(n, k, p)
+        tracemalloc.start()
+        try:
+            _util.pairwise_l1_dists(x, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * p * 8 / 3
+
+
+class TestClusterMeans:
+    @pytest.mark.parametrize("n, k, p", [(1500, 15, 2), (150, 3, 4), (3000, 15, 16), (100_000, 50, 2)])
+    def test_bit_identical_to_the_per_cluster_mean(self, n, k, p):
+        rng = np.random.default_rng(n + p)
+        x = 5.0 + rng.normal(0, 3, (n, p))
+        assign = rng.integers(0, k, n)
+        assign[:k] = np.arange(k)  # no empty cluster
+        expected = np.stack([x[assign == j].mean(axis=0) for j in range(k)])
+        assert np.array_equal(_util.cluster_means(x, assign, k), expected)
 
 
 def _iris(iris_path):
