@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     robust_p.add_argument("--base-seed", type=int)
     robust_p.add_argument("--k", type=int, help="clusters (default: ground-truth classes)")
     robust_p.add_argument("--box-expansion", type=float)
-    _add_fit_arguments(robust_p)
     robust_p.add_argument("--format", choices=["csv", "md", "json"], default="md")
     robust_p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     return parser

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 from tkmeans.cli import main
-from tkmeans.harness import RunSpec, run_once, run_robustness
+from tkmeans.harness import RunSpec, run_once
 
 TWO_BLOBS = "blobs:k=2,n=25,p=2,std=0.3,box=15,seed=5"
 
@@ -135,33 +135,6 @@ class TestRobustCommand:
         assert code == 0
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 5  # header + 2 algos x 2 fractions
-
-    def test_fit_flags_reach_every_cell(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "robust", "--gen", TWO_BLOBS, "--fractions", "0,0.1",
-            "--algos", "kmeans,tkmeans,tmm", "--repeats", "2", "--max-iter", "1", "--format", "json",
-        )
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 6
-        assert all(run["iterations"] == 1 for row in rows for run in row["runs"])
-
-    def test_no_fit_flags_keep_the_defaults(self, capsys):
-        def untimed(text):
-            rows = json.loads(text)["rows"]
-            for row in rows:
-                del row["time_sec"]
-                for run in row["runs"]:
-                    del run["time_sec"]
-            return rows
-
-        code, out, _ = run_cli(
-            capsys, "robust", "--gen", TWO_BLOBS, "--fractions", "0,0.1",
-            "--algos", "kmeans,tkmeans,fast-tkmeans++", "--repeats", "2", "--format", "json",
-        )
-        assert code == 0
-        report = run_robustness(TWO_BLOBS, [0.0, 0.1], ["kmeans", "tkmeans", "fast-tkmeans++"], repeats=2)
-        assert untimed(out) == untimed(report.render("json"))
 
     def test_bad_fraction_exit_1(self, capsys):
         code, _, _ = run_cli(

@@ -3,11 +3,10 @@
 Run from the root of a checkout::
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
-        --seed 101 --out BENCH_7.json
+        --workload protocol --workload em-p16 --seed 101 --out BENCH_6.json
 
 Each revision is exported with ``git archive`` into a temporary
-directory, so only committed files take part.  ``--workload`` (repeatable)
-defaults to every workload of the change's ``BENCHMARK.json``.  Pair i runs
+directory, so only committed files take part.  Pair i runs
 ``perfbench/run.py --workload W --seed <seed + i> --seconds S --trace 0``,
 with ``S`` the ``run_seconds`` of the change's ``BENCHMARK.json``, on both
 trees one after the other, the parent first in even pairs and the
@@ -16,12 +15,7 @@ change/parent ratio rather than in one side's numbers.  The output holds
 ``run_seconds``, the machine record of the first run, each pair's
 end-to-end metrics and ratios, and per metric the median and quartiles of
 each side, of the ratio, and the number of pairs the change won
-(direction from ``BENCHMARK.json``).  Two verdicts close each metric:
-``gain``, the change won at least 9 in 10 pairs and its median beats the
-parent's by more than the parent's interquartile range; and
-``within_bound``, the change's median is no worse than the parent's by
-more than the metric's ``bound``, read as a fraction of the parent's
-median.  Standard library only.
+(direction from ``BENCHMARK.json``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -63,27 +57,19 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs, metrics):
-    """Per-metric summary of ``pairs``; ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``."""
+def summarize(pairs, better):
     out = {}
-    for metric in metrics:
-        name = metric["name"]
+    for name, direction in better.items():
         rows = [p for p in pairs if name in p["ratio"]]
         if not rows:
             continue
-        sign = 1.0 if metric["better"] == "higher" else -1.0
-        parent = quartiles([p["parent"][name] for p in rows])
-        change = quartiles([p["change"][name] for p in rows])
-        wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in rows)
-        edge = sign * (change["median"] - parent["median"])
+        sign = 1.0 if direction == "higher" else -1.0
         out[name] = {
-            "parent": parent,
-            "change": change,
+            "parent": quartiles([p["parent"][name] for p in rows]),
+            "change": quartiles([p["change"][name] for p in rows]),
             "ratio": quartiles([p["ratio"][name] for p in rows]),
-            "change_wins": wins,
+            "change_wins": sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in rows),
             "pairs": len(rows),
-            "gain": wins >= 0.9 * len(rows) and edge > parent["q3"] - parent["q1"],
-            "within_bound": -edge <= metric["bound"] * abs(parent["median"]),
         }
     return out
 
@@ -92,7 +78,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision measured as the base")
     parser.add_argument("--change", required=True, help="git revision measured against it")
-    parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="workload seed of pair 0; pair i uses seed + i")
     parser.add_argument("--out", type=Path, required=True)
@@ -107,7 +93,8 @@ def main(argv=None) -> int:
             report[side] = export(getattr(args, side), tree)
         benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         report["run_seconds"] = benchmark["run_seconds"]
-        for workload in args.workload or [w["name"] for w in benchmark["workloads"]]:
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -124,7 +111,7 @@ def main(argv=None) -> int:
                                 for name, value in row["parent"].items() if value and name in row["change"]}
                 pairs.append(row)
                 print(f"{workload} pair {i} seed {seed}: job_s_p50 ratio {row['ratio'].get('job_s_p50')}", flush=True)
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, benchmark["end_to_end"])}
+            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
