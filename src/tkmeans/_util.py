@@ -18,7 +18,7 @@ def check_k(k: int, n: int) -> int:
     return k
 
 
-def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, out=None, shifted=None, norms=None) -> np.ndarray:
     """Squared Euclidean distances, shape (len(x), len(centers)), in GEMM form.
 
     With ``f`` the argument with fewer rows (``centers`` on a tie) and
@@ -32,37 +32,48 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     the GEMM's summation order, but C-ordered (K, N), whose ``.T`` is a
     column-major (N, K) view.  Raises ``NumericalError`` when a distance
     overflows (or is NaN).
+
+    A caller that computes many distance matrices of one shape can pass
+    its own buffers, and the result is then bit-identical to the
+    allocating call: ``out`` a C-ordered (len(x), len(centers)) array for
+    the result, which is returned; ``shifted`` an array of the longer
+    argument's shape for its shifted copy; ``norms`` a vector of its
+    length for that copy's row norms.
     """
     few_first = x.shape[0] < centers.shape[0]
-    shift = (x if few_first else centers).mean(axis=0)
-    xs = x - shift
-    cs = centers - shift
+    short, long = (x, centers) if few_first else (centers, x)
+    shift = short.mean(axis=0)
+    ss = short - shift
+    ls = np.subtract(long, shift, out=shifted)
     # each norm vector is freed once added, so none is live beside the result
     with np.errstate(over="ignore", invalid="ignore"):
         if few_first:
-            d2 = (-2.0 * xs) @ cs.T
-            d2 += np.einsum("kp,kp->k", cs, cs)
-            d2 += np.einsum("np,np->n", xs, xs)[:, None]
+            d2 = np.matmul(-2.0 * ss, ls.T, out=out)
+            d2 += np.einsum("np,np->n", ls, ls, out=norms)
+            d2 += np.einsum("kp,kp->k", ss, ss)[:, None]
         else:
-            d2 = xs @ (-2.0 * cs.T)
-            d2 += np.einsum("np,np->n", xs, xs)[:, None]
-            d2 += np.einsum("kp,kp->k", cs, cs)
+            d2 = np.matmul(ls, -2.0 * ss.T, out=out)
+            d2 += np.einsum("np,np->n", ls, ls, out=norms)[:, None]
+            d2 += np.einsum("kp,kp->k", ss, ss)
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2).all():
         raise NumericalError("squared distances overflow float64; rescale the data")
     return d2
 
 
-def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
+def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray,
+              scratch=None) -> float:
     """Closed-form degrees-of-freedom update shared by the t-model fits.
 
     ``eta = 1 + mean_j sum_i tau_ij (E ln u_ij - u_ij) / sum_i tau_ij``
     over the ``healthy`` components, and ``nu = -1/eta`` clamped to
     ``nu_bounds``; a non-negative eta would give a non-positive nu and
-    clamps to the upper bound.
+    clamps to the upper bound.  ``scratch``, an array of ``tau``'s shape and
+    layout, holds the (N, K) product when given.
     """
     tau_mass = tau.sum(axis=0)
-    per_comp = (tau * (log_u_expect - u)).sum(axis=0)
+    diff = np.subtract(log_u_expect, u, out=scratch)
+    per_comp = np.multiply(tau, diff, out=diff).sum(axis=0)
     terms = per_comp[healthy] / tau_mass[healthy]
     eta = 1.0 + float(terms.mean())
     lo, hi = nu_bounds

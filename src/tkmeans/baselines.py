@@ -83,20 +83,34 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
     return ClusteringResult(assign, centers, np.asarray(trace), len(trace), wall)
 
 
+# entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block below 1449 members
+_MEDOID_BLOCK = 1 << 21
+
+
 def _medoid_of(x: np.ndarray, members: np.ndarray) -> int:
     """Member index minimizing total L1 distance to the cluster; lowest index on ties.
 
-    The n_j x n_j L1 matrix is accumulated one coordinate at a time, so
-    two n_j x n_j buffers are the only temporaries, whatever p is.
+    The total distances come one block of rows at a time, and each
+    block's L1 matrix is accumulated one coordinate at a time, so two
+    buffers of at most ``_MEDOID_BLOCK`` entries (or one row, if a row is
+    longer) are the only temporaries, whatever the cluster size and p are.
+    Each row sum depends on its row alone, so the blocking does not change
+    the result.
     """
     pts = x[members]
     n = pts.shape[0]
-    d1 = np.zeros((n, n))
-    buf = np.empty((n, n))
-    for col in pts.T:
-        np.subtract(col[:, None], col[None, :], out=buf)
-        d1 += np.abs(buf, out=buf)
-    return int(members[int(np.argmin(d1.sum(axis=1)))])
+    rows = max(1, _MEDOID_BLOCK // n)
+    totals = np.empty(n)
+    d1 = np.empty((min(rows, n), n))
+    buf = np.empty_like(d1)
+    for start in range(0, n, rows):
+        block, scratch = d1[: n - start], buf[: n - start]
+        block[...] = 0.0
+        for col in pts.T:
+            np.subtract(col[start : start + rows, None], col[None, :], out=scratch)
+            block += np.abs(scratch, out=scratch)
+        totals[start : start + rows] = block.sum(axis=1)
+    return int(members[int(np.argmin(totals))])
 
 
 def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> ClusteringResult:

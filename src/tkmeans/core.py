@@ -14,6 +14,12 @@ likelihood and the next E-step.  The iteration is component-major: that
 matrix, and every (N, K) matrix derived from it, is a view of C-ordered
 (K, N) memory, so the reductions over K run along contiguous rows, and
 one ``exp`` pass per E-step gives both the log likelihood and ``tau``.
+Those matrices, and the distance kernel's shifted copy of the data, live
+in one workspace that ``fit`` allocates once and every iteration
+overwrites, so an iteration allocates no (N, K) or (N, p) array; the
+public ``e_step``, ``m_step`` and ``negative_log_likelihood`` run the
+same steps into fresh arrays.  A scaled distance that overflows float64
+raises ``NumericalError``.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It
@@ -32,7 +38,7 @@ import numpy as np
 from . import _util
 from .baselines import BaselineConfig
 from .datasets import Dataset
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .results import ClusteringResult
 from .specialfn import _log_normalize, digamma, log_gamma, log_sum_exp
 
@@ -151,26 +157,68 @@ def _log_t_const(p: int, alpha: float, nu: float) -> float:
     )
 
 
-def _sq_dists_to(data: Dataset, centers: np.ndarray) -> np.ndarray:
-    """(N, K) squared distances as a view of C-ordered (K, N) memory."""
+@dataclass(frozen=True)
+class _Workspace:
+    """The buffers of one fit's EM iteration, allocated once and reused by every iteration.
+
+    ``d2`` (squared distances), ``lp`` (``log1p(d2/(nu*alpha))``, then
+    ``E ln u``), ``logt`` (ln t, then ``tau``), ``u`` and ``w`` (the tau*u
+    weights, then scratch for the ``alpha`` and ``nu`` updates) are (N, K)
+    views of C-ordered (K, N) memory; ``shifted`` (N, p) and ``norms`` (N,)
+    are the distance kernel's copy of the shifted data and its row norms.
+    A buffer left at ``None``, as in ``_FRESH``, makes its step allocate a
+    new array, as the public ``e_step``/``m_step`` need.
+    """
+
+    d2: np.ndarray | None = None
+    lp: np.ndarray | None = None
+    logt: np.ndarray | None = None
+    u: np.ndarray | None = None
+    w: np.ndarray | None = None
+    shifted: np.ndarray | None = None
+    norms: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, n: int, k: int, p: int) -> _Workspace:
+        def matrix():
+            return np.empty((k, n)).T
+
+        return cls(matrix(), matrix(), matrix(), matrix(), matrix(), np.empty((n, p)), np.empty(n))
+
+
+_FRESH = _Workspace()
+
+
+def _sq_dists_to(data: Dataset, centers: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
+    """(N, K) squared distances as a view of C-ordered (K, N) memory, into ``ws.d2`` when it is there."""
     if data.p != centers.shape[1]:
         raise DomainError(f"data has p={data.p} but centers have p={centers.shape[1]}")
-    return _util.pairwise_sq_dists(centers, data.samples).T
+    out = None if ws.d2 is None else ws.d2.T
+    return _util.pairwise_sq_dists(centers, data.samples, out=out, shifted=ws.shifted, norms=ws.norms).T
 
 
-def _log1p_scaled(d2: np.ndarray, model: TkModel) -> np.ndarray:
-    lp = d2 / (model.nu * model.alpha)
+def _divide(d2: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``d2 / scale``; raises ``NumericalError`` where a quotient overflows float64."""
+    try:
+        with np.errstate(over="raise"):
+            return np.divide(d2, scale, out=out)
+    except FloatingPointError:
+        raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
+
+
+def _log1p_scaled(d2: np.ndarray, model: TkModel, out: np.ndarray | None = None) -> np.ndarray:
+    lp = _divide(d2, model.nu * model.alpha, out=out)
     return np.log1p(lp, out=lp)
 
 
-def _log_t_matrix(lp: np.ndarray, model: TkModel) -> np.ndarray:
+def _log_t_matrix(lp: np.ndarray, model: TkModel, out: np.ndarray | None = None) -> np.ndarray:
     """ln t of every pair from ``lp = log1p(d2 / (nu*alpha))``, in the layout of ``lp``."""
-    logt = lp * (-0.5 * (model.nu + model.p))
+    logt = np.multiply(lp, -0.5 * (model.nu + model.p), out=out)
     logt += _log_t_const(model.p, model.alpha, model.nu)
     return logt
 
 
-def _e_step(d2: np.ndarray, model: TkModel) -> tuple[EStepResult, np.ndarray]:
+def _e_step(d2: np.ndarray, model: TkModel, ws: _Workspace = _FRESH) -> tuple[EStepResult, np.ndarray]:
     """E-step from the (N, K) squared distances; also returns the row log-sum-exp of ln t.
 
     Component-major: ``d2`` comes from ``_sq_dists_to`` as a view of (K, N)
@@ -178,14 +226,17 @@ def _e_step(d2: np.ndarray, model: TkModel) -> tuple[EStepResult, np.ndarray]:
     reductions over K here and in the M-step run along contiguous rows.
     One ``exp`` pass gives both the row log-sum-exps and ``tau``, normalized
     in place, and ``E ln u`` reuses the ``log1p`` of ln t:
-    ``ln u = ln((nu+p)/nu) - log1p(d2/(nu*alpha))``.
+    ``ln u = ln((nu+p)/nu) - log1p(d2/(nu*alpha))``.  The three matrices
+    are written into ``ws.lp``, ``ws.logt`` and ``ws.u`` when they are there.
+    Raises ``NumericalError`` when ``d2/(nu*alpha)`` or ``d2/alpha``
+    overflows.
     """
     p, nu, alpha = model.p, model.nu, model.alpha
-    lp = _log1p_scaled(d2, model)
-    logt = _log_t_matrix(lp, model)
+    lp = _log1p_scaled(d2, model, out=ws.lp)
+    logt = _log_t_matrix(lp, model, out=ws.logt)
     # in place: every (N, K) temporary is one more live matrix at the peak
     lse, tau = _log_normalize(logt, out=logt)
-    u = d2 / alpha
+    u = _divide(d2, alpha, out=ws.u)
     u += nu
     np.divide(nu + p, u, out=u)
     half = (nu + p) / 2.0
@@ -202,13 +253,19 @@ def e_step(data: Dataset, model: TkModel) -> EStepResult:
     return _e_step(_sq_dists_to(data, model.centers), model)[0]
 
 
-def _m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> tuple[TkModel, np.ndarray]:
-    """M-step; also returns the (N, K) squared distances to the new centers."""
+def _m_step(
+    data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig, ws: _Workspace = _FRESH
+) -> tuple[TkModel, np.ndarray]:
+    """M-step; also returns the (N, K) squared distances to the new centers, in ``ws.d2`` when it is there.
+
+    The weights ``w`` go into ``ws.w``, which then holds the products of
+    the ``alpha`` and ``nu`` updates.
+    """
     x = data.samples
     k, p = model.k, model.p
     if e.tau.shape != (data.n, k):
         raise DomainError(f"E-step result shape {e.tau.shape} does not match (N, K)=({data.n}, {k})")
-    w = e.tau * e.u
+    w = np.multiply(e.tau, e.u, out=ws.w)
     mass = w.sum(axis=0)
     healthy = mass > 0.0
 
@@ -225,15 +282,15 @@ def _m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> tu
                 centers[j] = x[worst[used]]
                 used += 1
 
-    d2_new = _sq_dists_to(data, centers)
+    d2_new = _sq_dists_to(data, centers, ws)
     tau_total = float(e.tau.sum())
-    alpha = float((w * d2_new).sum() / (p * tau_total))
+    alpha = float(np.multiply(w, d2_new, out=w).sum() / (p * tau_total))
     alpha = max(alpha, cfg.alpha_floor)
 
     if cfg.fixed_nu is not None:
         nu = model.nu
     else:
-        nu = _util.nu_update(e.tau, e.log_u_expect, e.u, cfg.nu_bounds, healthy)
+        nu = _util.nu_update(e.tau, e.log_u_expect, e.u, cfg.nu_bounds, healthy, scratch=w)
     return TkModel(centers, alpha, nu), d2_new
 
 
@@ -264,7 +321,7 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     rows = tau.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6):
         raise DomainError("tau rows must sum to 1")
-    return float((tau * np.log1p(d2 / (model.nu * model.alpha))).sum())
+    return float((tau * _log1p_scaled(d2, model)).sum())
 
 
 def _nll(lse: np.ndarray, k: int) -> float:
@@ -283,10 +340,15 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     return _nll(log_sum_exp(_log_t_matrix(lp, model), axis=1), model.k)
 
 
-def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float) -> TkModel:
+def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, ws: _Workspace = _FRESH) -> TkModel:
+    """The seeded centers, ``alpha`` from their nearest-center distances, and ``nu0``.
+
+    The distances to the initial centers are left in ``ws.d2`` when it is
+    there, for the first E-step.
+    """
     rng = np.random.default_rng(cfg.seed)
     centers, _ = _util.init_centers(data.samples, k, rng, cfg.init)
-    d2 = _sq_dists_to(data, centers)
+    d2 = _sq_dists_to(data, centers, ws)
     alpha0 = float(d2.min(axis=1).mean()) / data.p
     return TkModel(centers, max(alpha0, cfg.alpha_floor), nu0)
 
@@ -294,25 +356,28 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float) -> TkModel
 _NU_START = 3.0  # where the free-nu EM starts
 
 
-def _run_em(data: Dataset, model: TkModel, d2: np.ndarray, cfg: FitConfig, budget: int, trace: list[float]):
+def _run_em(data: Dataset, model: TkModel, ws: _Workspace, cfg: FitConfig, budget: int, trace: list[float]):
     """Iterate M- and E-steps until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
 
-    ``d2`` holds the squared distances to ``model``'s centers.  Each
-    iteration computes one distance matrix, to the new centers, and it
-    serves ``alpha``, the NLL and the next E-step.  Returns the last
-    model, its distances and its argmax-responsibility labels.
+    ``ws.d2`` holds the squared distances to ``model``'s centers.  Each
+    iteration computes one distance matrix, to the new centers, into
+    ``ws.d2``, and it serves ``alpha``, the NLL and the next E-step.
+    Every (N, K) matrix of the iteration lives in ``ws``, so an iteration
+    allocates only vectors and (K, p) arrays.  Returns the last model,
+    whose distances ``ws.d2`` then holds, and its argmax-responsibility
+    labels.
     """
-    e, _ = _e_step(d2, model)
+    e, _ = _e_step(ws.d2, model, ws)
     prev_loss = None
     for _ in range(budget):
-        model, d2 = _m_step(data, e, model, cfg)
-        e, lse = _e_step(d2, model)
+        model, d2 = _m_step(data, e, model, cfg, ws)
+        e, lse = _e_step(d2, model, ws)
         loss = _nll(lse, model.k)
         trace.append(loss)
         if prev_loss is not None and abs(loss - prev_loss) < cfg.tol * max(abs(prev_loss), 1e-12):
             break
         prev_loss = loss
-    return model, d2, e.tau.argmax(axis=1)
+    return model, e.tau.argmax(axis=1)
 
 
 def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult:
@@ -342,12 +407,12 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     start = time.perf_counter()
     nu0 = cfg.nu_bounds[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
-    model = _initial_model(data, k, cfg, nu0)
-    d2 = _sq_dists_to(data, model.centers)
-    model, d2, labels = _run_em(data, model, d2, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
+    ws = _Workspace.allocate(data.n, k, data.p)
+    model = _initial_model(data, k, cfg, nu0, ws)
+    model, labels = _run_em(data, model, ws, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
         model = TkModel(model.centers, model.alpha, _NU_START)
-        model, d2, labels = _run_em(data, model, d2, cfg, cfg.max_iter - len(trace), trace)
+        model, labels = _run_em(data, model, ws, cfg, cfg.max_iter - len(trace), trace)
     wall = time.perf_counter() - start
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)
 
@@ -376,7 +441,7 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
         assign = d2.argmin(axis=1)
         dist = d2[np.arange(x.shape[0]), assign]
         assign, centers, dist, _ = _util.reseed_empty_clusters(x, assign, centers, dist, k)
-        trace.append(float(np.log1p(dist / c).sum()))
+        trace.append(float(np.log1p(_divide(dist, c)).sum()))
         weights = 1.0 / (c + dist)
         new_centers = np.empty_like(centers)
         for j in range(k):

@@ -121,8 +121,8 @@ class TestEStep:
         seen = []
         inner = core._e_step
 
-        def recording(d2, model):
-            e, lse = inner(d2, model)
+        def recording(d2, model, *workspace):
+            e, lse = inner(d2, model, *workspace)
             seen.append((d2, e))
             return e, lse
 
@@ -364,22 +364,22 @@ class TestFit:
 
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
-        # one for the initial alpha, one for the initial E-step, one per iteration
+        # one for the initial alpha and the first E-step, one per iteration
         from tkmeans import _util
 
         calls = []
         kernel = _util.pairwise_sq_dists
 
-        def counting(x, centers):
+        def counting(x, centers, **buffers):
             calls.append(1)
-            return kernel(x, centers)
+            return kernel(x, centers, **buffers)
 
         monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
         d = generate_gaussian_blobs(3, 30, 2, seed=1)
         for cfg in (FitConfig(seed=1, fixed_nu=3.0), FitConfig(seed=1), FitConfig(seed=2, max_iter=4)):
             calls.clear()
             r = fit(d, 3, cfg)
-            assert len(calls) == r.iterations + 2
+            assert len(calls) == r.iterations + 1
 
 
 class TestFitFast:
