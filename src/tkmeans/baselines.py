@@ -83,7 +83,7 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
     return ClusteringResult(assign, centers, np.asarray(trace), len(trace), wall)
 
 
-# entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block below 1449 members
+# entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block up to 1448 members
 _MEDOID_BLOCK = 1 << 21
 
 
@@ -97,8 +97,7 @@ def _medoid_of(x: np.ndarray, members: np.ndarray) -> int:
     Each row sum depends on its row alone, so the blocking does not change
     the result.
     """
-    pts = x[members]
-    n = pts.shape[0]
+    n = members.shape[0]
     rows = max(1, _MEDOID_BLOCK // n)
     totals = np.empty(n)
     d1 = np.empty((min(rows, n), n))
@@ -106,10 +105,11 @@ def _medoid_of(x: np.ndarray, members: np.ndarray) -> int:
     for start in range(0, n, rows):
         block, scratch = d1[: n - start], buf[: n - start]
         block[...] = 0.0
-        for col in pts.T:
+        for a in range(x.shape[1]):
+            col = x[members, a]
             np.subtract(col[start : start + rows, None], col[None, :], out=scratch)
             block += np.abs(scratch, out=scratch)
-        totals[start : start + rows] = block.sum(axis=1)
+        np.sum(block, axis=1, out=totals[start : start + rows])
     return int(members[int(np.argmin(totals))])
 
 

@@ -77,6 +77,40 @@ class TestKmeansppSeed:
         assert np.array_equal(kmeanspp_seed(d, 4, seed=9), kmeanspp_seed(d, 4, seed=9))
 
 
+class TestMedoidOf:
+    @staticmethod
+    def _full_matrix_medoid(x, members):
+        pts = x[members]
+        return int(members[int(np.argmin(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).sum(axis=1)))])
+
+    def test_blocks_of_rows_give_the_full_matrix_medoid(self, monkeypatch):
+        from tkmeans import baselines
+
+        rng = np.random.default_rng(5)
+        cases = [(rng.normal(0, 2, (400, p)), np.flatnonzero(rng.random(400) < 0.6)) for p in (1, 2, 4)]
+        # a tie between the two middle points goes to the lower index
+        cases.append((np.array([[0.0], [1.0], [2.0], [3.0]]), np.arange(4)))
+        for block in (1, 7, 100, 1000, baselines._MEDOID_BLOCK):
+            monkeypatch.setattr(baselines, "_MEDOID_BLOCK", block)
+            for x, members in cases:
+                assert _medoid_of(x, members) == self._full_matrix_medoid(x, members)
+        assert _medoid_of(*cases[-1]) == 1
+
+    def test_memory_is_bounded_by_the_row_blocks(self):
+        from tkmeans import baselines
+
+        # one 3000-point cluster: two full 3000 x 3000 buffers would take 144 MB
+        n = 3000
+        x = np.random.default_rng(6).normal(0, 1, (n, 2))
+        tracemalloc.start()
+        try:
+            _medoid_of(x, np.arange(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * baselines._MEDOID_BLOCK * 8 + 4 * n * 8 + 64 * 1024
+
+
 class TestKmedoids:
     def test_tie_goes_to_lowest_index(self):
         r = kmedoids_fit(line(0, 1), 1, BaselineConfig(init=np.array([[0.5]])))

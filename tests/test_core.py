@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +345,7 @@ class TestFit:
             assert np.array_equal(r.loss_trace, np.asarray(trace))
             assert np.array_equal(r.centers, model.centers)
             assert r.iterations == len(trace)
+            assert np.array_equal(r.labels, e_step(d, model).tau.argmax(axis=1))
             assert r.model.alpha == model.alpha and r.model.nu == nu
 
     def test_free_nu_warm_stage_shares_the_budget(self):
@@ -362,6 +365,70 @@ class TestFit:
         assert np.array_equal(r.loss_trace[: warm.iterations], warm.loss_trace)
         assert r.model.nu != 200.0
 
+    def test_free_nu_fit_is_the_public_loop_bit_for_bit(self):
+        # the warm stage at nu_bounds[1], then free nu from 3, through the public wrappers
+        def stage(model, cfg, budget, trace):
+            for _ in range(budget):
+                model = m_step(d, e_step(d, model), model, cfg)
+                trace.append(negative_log_likelihood(d, model))
+                if len(trace) > 1 and abs(trace[-1] - trace[-2]) < cfg.tol * max(abs(trace[-2]), 1e-12):
+                    break
+            return model
+
+        blobs = generate_gaussian_blobs(5, 40, 6, cluster_std=1.3, seed=9)
+        d = Dataset(np.vstack([blobs.samples, 6.0 * blobs.samples[:8]]))  # far points, so u and nu matter
+        for seed in range(3):
+            cfg = FitConfig(seed=seed, tol=1e-9)
+            nu_hi = cfg.nu_bounds[1]
+            trace = []
+            model = stage(_initial_model(d, 5, cfg, nu_hi), replace(cfg, fixed_nu=nu_hi), cfg.max_iter, trace)
+            warm = len(trace)
+            model = stage(TkModel(model.centers, model.alpha, 3.0), cfg, cfg.max_iter - warm, trace)
+            r = fit(d, 5, cfg)
+            assert warm < r.iterations == len(trace)
+            assert np.array_equal(r.loss_trace, np.asarray(trace))
+            assert np.array_equal(r.centers, model.centers)
+            assert np.array_equal(r.labels, e_step(d, model).tau.argmax(axis=1))
+            assert r.model.alpha == model.alpha and r.model.nu == model.nu != nu_hi
+
+    def test_results_alias_no_workspace_buffer(self, monkeypatch):
+        from tkmeans import core
+
+        made = []
+        allocate = core._Workspace.allocate
+
+        def recording(n, k, p):
+            made.append(allocate(n, k, p))
+            return made[-1]
+
+        monkeypatch.setattr(core._Workspace, "allocate", staticmethod(recording))
+        d = generate_gaussian_blobs(3, 40, 2, seed=4)
+
+        def arrays(r):
+            return r.labels, r.centers, r.loss_trace, r.model.centers
+
+        first = fit(d, 3, FitConfig(seed=0))
+        kept = [a.copy() for a in arrays(first)]
+        second = fit(d, 3, FitConfig(seed=1))
+        assert len(made) == 2
+        buffers = [b for ws in made for b in vars(ws).values()]
+        assert all(b is not None for b in buffers)
+        for r in (first, second):
+            for a in arrays(r):
+                assert not any(np.shares_memory(a, b) for b in buffers)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(first), kept))
+
+    def test_peak_memory_of_a_fit_at_em_shape(self):
+        # 3000 x 16, K=15.  Allocating each (N, K) matrix and the shifted data anew in every
+        # iteration peaked at 3.01-3.05 MB here; the workspace peaks at 2.62-2.66 MB.
+        d = generate_gaussian_blobs(15, 200, 16, seed=0)
+        tracemalloc.start()
+        try:
+            fit(d, 15, FitConfig(seed=0, max_iter=30, tol=1e-12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
         # one for the initial alpha and the first E-step, one per iteration

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tkmeans import _util
 from tkmeans.baselines import BaselineConfig, kmeans_fit, kmedoids_fit
 from tkmeans.core import FitConfig, fit, fit_fast
@@ -108,8 +111,15 @@ class TestPairwiseSqDists:
                 _util.pairwise_sq_dists(huge.samples, huge.samples[:3])
             with pytest.raises(NumericalError):
                 fit(huge, 3, FitConfig(seed=0))
+            # with N = K alpha falls to its floor, and d2 / (nu * alpha) overflows in the E-step
+            tiny = Dataset(np.random.default_rng(0).standard_normal((3, 1)) * 1e150)
+            with pytest.raises(NumericalError, match="rescale the data"):
+                fit(tiny, 3)
             with pytest.raises(NumericalError):
                 fit_fast(huge, 3, FitConfig(seed=0))
+            # finite squared distances, but dist / (nu * fast_alpha) overflows in fit_fast's loss
+            with pytest.raises(NumericalError, match="rescale the data"):
+                fit_fast(Dataset(np.random.default_rng(0).standard_normal((10, 3)) * 1e150), 2)
             with pytest.raises(NumericalError):
                 kmeans_fit(huge, 3, BaselineConfig(seed=0))
             # k-means++ seeding squares the raw differences
@@ -126,6 +136,33 @@ class TestPairwiseSqDists:
                 # the default config seeds with k-means++
                 with pytest.raises(NumericalError, match="rescale the data"):
                     mixture_fit(huge, 3, ridge=1.0)
+
+
+class TestPairwiseSqDistsBuffers:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 40),
+        p=st.integers(1, 20),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+        centers_from_x=st.booleans(),
+        swapped=st.booleans(),
+    )
+    def test_buffers_give_the_allocating_result(self, n, k, p, offset, seed, centers_from_x, swapped):
+        rng = np.random.default_rng(seed)
+        x = offset + rng.normal(0, 3, (n, p))
+        # rows of x give coincident points, where the clamp at 0 matters
+        centers = x[rng.integers(0, n, k)] if centers_from_x else offset + rng.normal(0, 3, (k, p))
+        a, b = (centers, x) if swapped else (x, centers)
+        longer = b if a.shape[0] < b.shape[0] else a
+        out = np.full((a.shape[0], b.shape[0]), np.nan)
+        shifted = np.full(longer.shape, np.nan)
+        norms = np.full(longer.shape[0], np.nan)
+        got = _util.pairwise_sq_dists(a, b, out=out, shifted=shifted, norms=norms)
+        assert got is out
+        assert np.array_equal(got, _util.pairwise_sq_dists(a, b))
+        assert (got >= 0.0).all()
 
 
 class TestPairwiseL1Dists:
