@@ -18,45 +18,66 @@ def check_k(k: int, n: int) -> int:
     return k
 
 
-def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, out=None, shifted=None, norms=None) -> np.ndarray:
+def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The C-ordered (p+1, N) distance block of ``points`` and the mean ``m`` it is centered at.
+
+    Rows 0..p-1 hold ``(points - m)^T`` and row p holds ``|points - m|^2``,
+    the N(p+1) floats of a shifted copy and its row norms.  A caller that
+    measures many sets of centers against the same points builds it once
+    and passes it to ``pairwise_sq_dists``.  An overflow here leaves a
+    non-finite entry, which the distances built on the block then report.
+    """
+    n, p = points.shape
+    block = np.empty((p + 1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = points.mean(axis=0)
+        np.subtract(points, mean, out=block[:p].T)
+        np.einsum("pn,pn->n", block[:p], block[:p], out=block[p])
+    return block, mean
+
+
+def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=None) -> np.ndarray:
     """Squared Euclidean distances, shape (len(x), len(centers)), in GEMM form.
 
-    With ``f`` the argument with fewer rows (``centers`` on a tie) and
-    ``m`` its mean, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T + |c-m|^2``: one matrix
-    product, no (N, K, p) temporary.  The shift by ``m`` keeps the
-    cancellation error near eps * (|x-m|^2 + |c-m|^2) however far the data
-    sit from the origin; the result is clamped at 0.  The ``-2`` scales
-    ``f`` and the norms of the longer argument are added first, so
-    ``pairwise_sq_dists(centers, x)`` runs the operations of
-    ``pairwise_sq_dists(x, centers)`` on transposed operands: equal up to
-    the GEMM's summation order, but C-ordered (K, N), whose ``.T`` is a
-    column-major (N, K) view.  Raises ``NumericalError`` when a distance
-    overflows (or is NaN).
+    With ``m`` the mean of ``centers``, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T +
+    |c-m|^2``: one matrix product, no (N, K, p) temporary.  The shift by
+    ``m`` keeps the cancellation error near eps * (|x-m|^2 + |c-m|^2)
+    however far the data sit from the origin; the result is clamped at 0.
+    Raises ``NumericalError`` when a distance overflows (or is NaN), tested
+    on the maximum: after the clamp a NaN or +inf shows there, and no
+    mask of the result is built.
 
-    A caller that computes many distance matrices of one shape can pass
-    its own buffers, and the result is then bit-identical to the
-    allocating call: ``out`` a C-ordered (len(x), len(centers)) array for
-    the result, which is returned; ``shifted`` an array of the longer
-    argument's shape for its shifted copy; ``norms`` a vector of its
-    length for that copy's row norms.
+    The hard-assignment fits call ``pairwise_sq_dists(x, centers)``.
+    ``core.fit`` calls ``pairwise_sq_dists(centers, x, block=...)`` with
+    ``block`` the ``distance_block`` of the second argument, built once
+    per fit and used in its place: the distances are then one GEMM of
+    the (K, p+1) operand ``[-2(c-m) | 1]`` with the block, plus
+    ``|c-m|^2`` per row.  ``out``, when given, receives the result.  The
+    ``(K, N)`` result is C-ordered, so its ``.T`` is a column-major
+    ``(N, K)`` view.  The block form sums in another order than the plain
+    one, so the two agree to rounding, not bit for bit.
     """
-    few_first = x.shape[0] < centers.shape[0]
-    short, long = (x, centers) if few_first else (centers, x)
-    shift = short.mean(axis=0)
-    ss = short - shift
-    ls = np.subtract(long, shift, out=shifted)
-    # each norm vector is freed once added, so none is live beside the result
     with np.errstate(over="ignore", invalid="ignore"):
-        if few_first:
-            d2 = np.matmul(-2.0 * ss, ls.T, out=out)
-            d2 += np.einsum("np,np->n", ls, ls, out=norms)
-            d2 += np.einsum("kp,kp->k", ss, ss)[:, None]
+        if block is None:
+            shift = centers.mean(axis=0)
+            cs = centers - shift
+            xs = x - shift
+            # each norm vector is freed once added, so none is live beside the result
+            d2 = np.matmul(xs, -2.0 * cs.T, out=out)
+            d2 += np.einsum("np,np->n", xs, xs)[:, None]
+            d2 += np.einsum("kp,kp->k", cs, cs)
         else:
-            d2 = np.matmul(ls, -2.0 * ss.T, out=out)
-            d2 += np.einsum("np,np->n", ls, ls, out=norms)[:, None]
-            d2 += np.einsum("kp,kp->k", ss, ss)
+            rows, shift = block
+            k, p = x.shape
+            operand = np.empty((k, p + 1))
+            operand[:, p] = 1.0
+            xs = np.subtract(x, shift, out=operand[:, :p])
+            norms = np.einsum("kp,kp->k", xs, xs)
+            xs *= -2.0
+            d2 = np.matmul(operand, rows, out=out)
+            d2 += norms[:, None]
         np.maximum(d2, 0.0, out=d2)
-    if not np.isfinite(d2).all():
+    if not np.isfinite(d2.max()):
         raise NumericalError("squared distances overflow float64; rescale the data")
     return d2
 

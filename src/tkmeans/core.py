@@ -14,12 +14,16 @@ likelihood and the next E-step.  The iteration is component-major: that
 matrix, and every (N, K) matrix derived from it, is a view of C-ordered
 (K, N) memory, so the reductions over K run along contiguous rows, and
 one ``exp`` pass per E-step gives both the log likelihood and ``tau``.
-Those matrices, and the distance kernel's shifted copy of the data, live
-in one workspace that ``fit`` allocates once and every iteration
-overwrites, so an iteration allocates no (N, K) or (N, p) array; the
-public ``e_step``, ``m_step`` and ``negative_log_likelihood`` run the
-same steps into fresh arrays.  A scaled distance that overflows float64
-raises ``NumericalError``.
+The distances come from a (p+1, N) block of the data, centered at their
+mean and stacked over their squared norms (``_util.distance_block``), so
+one distance matrix is one GEMM with the (K, p+1) centers operand plus a
+per-row add.  Those
+matrices and the block live in one workspace that ``fit`` allocates once
+and every iteration overwrites, so an iteration allocates no (N, K) or
+(N, p) array; the public ``e_step``, ``m_step``, ``log_l2_loss`` and
+``negative_log_likelihood`` build the same block per call and run the
+same steps into fresh arrays.  A distance or scaled distance that
+overflows float64 raises ``NumericalError``.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It
@@ -162,12 +166,14 @@ class _Workspace:
     """The buffers of one fit's EM iteration, allocated once and reused by every iteration.
 
     ``d2`` (squared distances), ``lp`` (``log1p(d2/(nu*alpha))``, then
-    ``E ln u``), ``logt`` (ln t, then ``tau``), ``u`` and ``w`` (the tau*u
-    weights, then scratch for the ``alpha`` and ``nu`` updates) are (N, K)
-    views of C-ordered (K, N) memory; ``shifted`` (N, p) and ``norms`` (N,)
-    are the distance kernel's copy of the shifted data and its row norms.
-    A buffer left at ``None``, as in ``_FRESH``, makes its step allocate a
-    new array, as the public ``e_step``/``m_step`` need.
+    ``E ln u``), ``logt`` (ln t, then ``tau``), ``u`` (``d2/(nu*alpha)``,
+    then ``u``) and ``w`` (the tau*u weights, then scratch for the ``nu``
+    update) are (N, K) views of C-ordered (K, N) memory; ``block`` is the
+    data's ``_util.distance_block``, the (p+1, N) block and the mean it is
+    centered at, built once here since the data do not change during a
+    fit.  A field left at ``None``, as in ``_FRESH``, makes its step
+    allocate a new array (or build a new block), as the public
+    ``e_step``/``m_step`` need.
     """
 
     d2: np.ndarray | None = None
@@ -175,26 +181,31 @@ class _Workspace:
     logt: np.ndarray | None = None
     u: np.ndarray | None = None
     w: np.ndarray | None = None
-    shifted: np.ndarray | None = None
-    norms: np.ndarray | None = None
+    block: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def allocate(cls, n: int, k: int, p: int) -> _Workspace:
+    def allocate(cls, x: np.ndarray, k: int) -> _Workspace:
         def matrix():
-            return np.empty((k, n)).T
+            return np.empty((k, x.shape[0])).T
 
-        return cls(matrix(), matrix(), matrix(), matrix(), matrix(), np.empty((n, p)), np.empty(n))
+        return cls(matrix(), matrix(), matrix(), matrix(), matrix(), _util.distance_block(x))
 
 
 _FRESH = _Workspace()
 
 
 def _sq_dists_to(data: Dataset, centers: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
-    """(N, K) squared distances as a view of C-ordered (K, N) memory, into ``ws.d2`` when it is there."""
+    """(N, K) squared distances as a view of C-ordered (K, N) memory, into ``ws.d2`` when it is there.
+
+    One GEMM of the centers with the data's distance block: the block of
+    ``ws``, or one built here when ``ws`` has none, so both paths run the
+    same operations.
+    """
     if data.p != centers.shape[1]:
         raise DomainError(f"data has p={data.p} but centers have p={centers.shape[1]}")
+    block = _util.distance_block(data.samples) if ws.block is None else ws.block
     out = None if ws.d2 is None else ws.d2.T
-    return _util.pairwise_sq_dists(centers, data.samples, out=out, shifted=ws.shifted, norms=ws.norms).T
+    return _util.pairwise_sq_dists(centers, data.samples, block=block, out=out).T
 
 
 def _divide(d2: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -225,20 +236,20 @@ def _e_step(d2: np.ndarray, model: TkModel, ws: _Workspace = _FRESH) -> tuple[ES
     memory, and every (N, K) matrix made here keeps that layout, so the
     reductions over K here and in the M-step run along contiguous rows.
     One ``exp`` pass gives both the row log-sum-exps and ``tau``, normalized
-    in place, and ``E ln u`` reuses the ``log1p`` of ln t:
-    ``ln u = ln((nu+p)/nu) - log1p(d2/(nu*alpha))``.  The three matrices
-    are written into ``ws.lp``, ``ws.logt`` and ``ws.u`` when they are there.
-    Raises ``NumericalError`` when ``d2/(nu*alpha)`` or ``d2/alpha``
-    overflows.
+    in place.  The scaled distances ``s = d2/(nu*alpha)`` serve both ln t
+    and ``u = ((nu+p)/nu) / (1 + s)``, and ``E ln u`` reuses the ``log1p``
+    of ln t: ``ln u = ln((nu+p)/nu) - log1p(s)``.  The three matrices are
+    written into ``ws.lp``, ``ws.logt`` and ``ws.u`` when they are there.
+    Raises ``NumericalError`` when ``s`` overflows.
     """
     p, nu, alpha = model.p, model.nu, model.alpha
-    lp = _log1p_scaled(d2, model, out=ws.lp)
+    scaled = _divide(d2, nu * alpha, out=ws.u)
+    lp = np.log1p(scaled, out=ws.lp)
     logt = _log_t_matrix(lp, model, out=ws.logt)
     # in place: every (N, K) temporary is one more live matrix at the peak
     lse, tau = _log_normalize(logt, out=logt)
-    u = _divide(d2, alpha, out=ws.u)
-    u += nu
-    np.divide(nu + p, u, out=u)
+    u = np.add(scaled, 1.0, out=scaled)
+    np.divide((nu + p) / nu, u, out=u)
     half = (nu + p) / 2.0
     log_u_expect = np.subtract(math.log((nu + p) / nu) + digamma(half) - math.log(half), lp, out=lp)
     return EStepResult(tau, u, log_u_expect), lse
@@ -258,8 +269,9 @@ def _m_step(
 ) -> tuple[TkModel, np.ndarray]:
     """M-step; also returns the (N, K) squared distances to the new centers, in ``ws.d2`` when it is there.
 
-    The weights ``w`` go into ``ws.w``, which then holds the products of
-    the ``alpha`` and ``nu`` updates.
+    The weights ``w`` go into ``ws.w``, which then holds the product of
+    the ``nu`` update; ``alpha`` takes one dot product of ``w`` with the
+    new distances.
     """
     x = data.samples
     k, p = model.k, model.p
@@ -284,7 +296,8 @@ def _m_step(
 
     d2_new = _sq_dists_to(data, centers, ws)
     tau_total = float(e.tau.sum())
-    alpha = float(np.multiply(w, d2_new, out=w).sum() / (p * tau_total))
+    # one dot product of the (K, N) memory, with no (N, K) product
+    alpha = float(np.vdot(w.T, d2_new.T) / (p * tau_total))
     alpha = max(alpha, cfg.alpha_floor)
 
     if cfg.fixed_nu is not None:
@@ -407,7 +420,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     start = time.perf_counter()
     nu0 = cfg.nu_bounds[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
-    ws = _Workspace.allocate(data.n, k, data.p)
+    ws = _Workspace.allocate(data.samples, k)
     model = _initial_model(data, k, cfg, nu0, ws)
     model, labels = _run_em(data, model, ws, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:

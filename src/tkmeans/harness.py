@@ -366,15 +366,24 @@ def run_bench(specs) -> BenchReport:
 
     A failing run marks its own cell as failed without touching the other
     cells; the report's ``failed`` flag then drives the nonzero exit of
-    the CLI.
+    the CLI.  Each distinct string data source is resolved once per call,
+    keyed by the spec fields that shape its dataset, and its cells share
+    the one read-only ``Dataset``.
     """
     specs = list(specs)
     if not specs:
         raise UsageError("run_bench needs at least one spec")
     rows = []
+    resolved = {}
     for spec in specs:
         try:
-            data = resolve_dataset(spec)
+            if isinstance(spec.data, str):
+                key = (spec.data, spec.standardize, spec.label_column, spec.label_path)
+                if key not in resolved:
+                    resolved[key] = resolve_dataset(spec)
+                data = resolved[key]
+            else:
+                data = resolve_dataset(spec)
         except Exception as exc:  # noqa: BLE001 - a dataset that cannot load fails its own cell
             dataset = str(getattr(spec.data, "name", spec.data))
             rows.append(_row(spec, dataset, None, error=f"{type(exc).__name__}: {exc}"))

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkmeans.baselines import BaselineConfig, kmeans_fit
 from tkmeans.core import (
@@ -397,8 +399,8 @@ class TestFit:
         made = []
         allocate = core._Workspace.allocate
 
-        def recording(n, k, p):
-            made.append(allocate(n, k, p))
+        def recording(x, k):
+            made.append(allocate(x, k))
             return made[-1]
 
         monkeypatch.setattr(core._Workspace, "allocate", staticmethod(recording))
@@ -411,7 +413,8 @@ class TestFit:
         kept = [a.copy() for a in arrays(first)]
         second = fit(d, 3, FitConfig(seed=1))
         assert len(made) == 2
-        buffers = [b for ws in made for b in vars(ws).values()]
+        # the block field holds the (p+1, N) block and the data mean
+        buffers = [b for ws in made for f in vars(ws).values() for b in (f if isinstance(f, tuple) else (f,))]
         assert all(b is not None for b in buffers)
         for r in (first, second):
             for a in arrays(r):
@@ -431,14 +434,14 @@ class TestFit:
         assert peak < 3.0e6
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
-        # one for the initial alpha and the first E-step, one per iteration
+        # one for the initial alpha and the first E-step, one per iteration, all on one block into one buffer
         from tkmeans import _util
 
         calls = []
         kernel = _util.pairwise_sq_dists
 
         def counting(x, centers, **buffers):
-            calls.append(1)
+            calls.append(buffers)
             return kernel(x, centers, **buffers)
 
         monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
@@ -447,6 +450,67 @@ class TestFit:
             calls.clear()
             r = fit(d, 3, cfg)
             assert len(calls) == r.iterations + 1
+            first = calls[0]
+            assert first["block"] is not None and first["out"] is not None
+            assert all(c["block"] is first["block"] and c["out"].base is first["out"].base for c in calls)
+
+    def test_distance_block_is_built_once_per_fit(self, monkeypatch):
+        from tkmeans import _util
+
+        built = []
+        block = _util.distance_block
+
+        def counting(x):
+            built.append(x)
+            return block(x)
+
+        monkeypatch.setattr(_util, "distance_block", counting)
+        d = generate_gaussian_blobs(3, 30, 2, seed=1)
+        for cfg in (FitConfig(seed=1, fixed_nu=3.0), FitConfig(seed=1)):
+            built.clear()
+            r = fit(d, 3, cfg)
+            assert r.iterations > 2 and len(built) == 1 and built[0] is d.samples
+
+
+class TestDistanceBlock:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 40),
+        p=st.integers(1, 20),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+        centers_from_x=st.booleans(),
+    )
+    def test_block_distances(self, n, k, p, offset, seed, centers_from_x):
+        from tkmeans import core
+
+        rng = np.random.default_rng(seed)
+        x = offset + rng.normal(0, 3, (n, p))
+        # rows of x give coincident points, where the clamp at 0 matters
+        centers = x[rng.integers(0, n, k)] if centers_from_x else offset + rng.normal(0, 3, (k, p))
+        d = Dataset(x)
+        ws = core._Workspace.allocate(d.samples, k)
+        for field in ("d2", "lp", "logt", "u", "w"):
+            getattr(ws, field).fill(np.nan)
+        got = core._sq_dists_to(d, centers, ws)
+        assert np.shares_memory(got, ws.d2) and got.shape == (n, k) and got.T.flags.c_contiguous
+        assert np.array_equal(got, core._sq_dists_to(d, centers))
+        assert (got >= 0.0).all()
+        m = x.mean(axis=0)
+        scale = ((x - m) ** 2).sum(axis=1)[:, None] + ((centers - m) ** 2).sum(axis=1)[None, :]
+        diff = x[:, None, :] - centers[None, :, :]
+        assert (np.abs(got - (diff * diff).sum(axis=2)) <= 1e-12 * scale).all()
+
+    def test_block_is_the_centered_data_over_their_squared_norms(self):
+        from tkmeans import _util
+
+        x = np.random.default_rng(3).normal(5.0, 2.0, (50, 3))
+        block, mean = _util.distance_block(x)
+        assert block.shape == (4, 50) and block.flags.c_contiguous
+        assert np.array_equal(mean, x.mean(axis=0))
+        assert np.array_equal(block[:3], (x - mean).T)
+        assert np.allclose(block[3], ((x - mean) ** 2).sum(axis=1), rtol=1e-15, atol=0)
 
 
 class TestFitFast:

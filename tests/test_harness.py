@@ -1,11 +1,15 @@
 import json
-from dataclasses import fields
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tkmeans.datasets import generate_gaussian_blobs
-from tkmeans.errors import NumericalError, UsageError
+from tkmeans import harness
+from tkmeans.datasets import Dataset, generate_gaussian_blobs
+from tkmeans.errors import NumericalError, TkmeansError, UsageError
 from tkmeans.harness import (
     ALGORITHMS,
     RunSpec,
@@ -15,6 +19,7 @@ from tkmeans.harness import (
     run_once,
     run_robustness,
 )
+from tkmeans.metrics import clustering_mse
 
 TWO_BLOBS = "blobs:k=2,n=30,p=2,std=0.3,box=15,seed=5"
 
@@ -73,7 +78,80 @@ class TestRunOnce:
             assert report.mse >= 0
 
 
+class TestEveryAlgorithm:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        algorithm=st.sampled_from(ALGORITHMS),
+        distinct=st.integers(1, 12),
+        duplicates=st.integers(0, 12),
+        p=st.integers(1, 4),
+        k_is_n=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_result_is_finite_or_a_typed_error(
+        self, algorithm, distinct, duplicates, p, k_is_n, k_share, log_scale, offset, seed
+    ):
+        rng = np.random.default_rng(seed)
+        points = offset + 10.0**log_scale * rng.standard_normal((distinct, p))
+        data = Dataset(np.vstack([points, points[rng.integers(0, distinct, duplicates)]]))
+        k = data.n if k_is_n else 1 + int(k_share * (data.n - 1))
+        spec = RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = harness._dispatch(spec, data, seed % 1000)
+                mse = clustering_mse(data, result.centers, result.labels)
+            except TkmeansError:
+                return
+        assert result.labels.shape == (data.n,) and result.centers.shape == (k, p)
+        assert np.isfinite(result.centers).all() and np.isfinite(result.loss_trace).all()
+        assert np.isfinite(mse)
+
+
 class TestRunBench:
+    def test_each_string_source_resolves_once_into_read_only_data(self, monkeypatch):
+        other = "blobs:k=3,n=20,p=2,std=0.5,box=10,seed=8"
+        specs = [
+            RunSpec(algorithm="kmeans", data=TWO_BLOBS, k=2, repeats=2),
+            RunSpec(algorithm="tkmeans", data=TWO_BLOBS, k=2, repeats=2),
+            RunSpec(algorithm="gmm", data=TWO_BLOBS, k=2, standardize=True),
+            RunSpec(algorithm="kmedoids", data=TWO_BLOBS, k=2, standardize=True),
+            RunSpec(algorithm="kmeans++", data=other, k=3),
+            RunSpec(algorithm="fast-tkmeans", data=TWO_BLOBS, k=3),
+            RunSpec(algorithm="kmeans", data=generate_gaussian_blobs(2, 10, 2, seed=1), k=2),
+        ]
+        uncached = [run_bench([spec]).rows[0] for spec in specs]
+        loads, fitted = [], []
+        resolve, dispatch = harness.resolve_dataset, harness._dispatch
+
+        def counting(spec):
+            loads.append(spec)
+            return resolve(spec)
+
+        def writing(spec, data, seed):
+            fitted.append(data)
+            with pytest.raises(ValueError, match="read-only"):
+                data.samples[0, 0] = 0.0
+            return dispatch(spec, data, seed)
+
+        monkeypatch.setattr(harness, "resolve_dataset", counting)
+        monkeypatch.setattr(harness, "_dispatch", writing)
+        rows = run_bench(specs).rows
+        # TWO_BLOBS raw and standardized, the other string, and the Dataset object
+        assert [specs.index(spec) for spec in loads] == [0, 2, 4, 6]
+        # one fit per repeat: specs 0 and 1 run twice each
+        assert len({id(data) for data in fitted}) == 4 and fitted[0] is fitted[7] and fitted[4] is fitted[5]
+
+        def untimed(row):
+            fields = asdict(row)
+            fields["runs"] = [{k: v for k, v in run.items() if k != "time_sec"} for run in row.runs]
+            return {k: v for k, v in fields.items() if not k.startswith("time_")}
+
+        assert [untimed(r) for r in rows] == [untimed(r) for r in uncached]
+
     def test_single_repeat_zero_std(self):
         report = run_bench([RunSpec(algorithm="kmeans", data=TWO_BLOBS, k=2, repeats=1)])
         row = report.rows[0]
