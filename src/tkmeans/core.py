@@ -17,12 +17,11 @@ one ``exp`` pass per E-step gives both the log likelihood and ``tau``.
 The distances come from a (p+1, N) block of the data, centered at their
 mean and stacked over their squared norms (``_util.distance_block``), so
 one distance matrix is one GEMM with the (K, p+1) centers operand plus a
-per-row add.  Those
-matrices and the block live in one workspace that ``fit`` allocates once
-and every iteration overwrites, so an iteration allocates no (N, K) or
-(N, p) array; the public ``e_step``, ``m_step``, ``log_l2_loss`` and
-``negative_log_likelihood`` build the same block per call and run the
-same steps into fresh arrays.  A distance or scaled distance that
+per-row add.  Those matrices and the block live in one workspace that
+``fit`` allocates once and every iteration overwrites, so an iteration
+allocates no (N, K) or (N, p) array; the public ``e_step``,
+``m_step``, ``log_l2_loss`` and ``negative_log_likelihood`` build the
+same block per call and run the same steps into fresh arrays.  A distance or scaled distance that
 overflows float64 raises ``NumericalError``.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
