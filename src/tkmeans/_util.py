@@ -47,7 +47,7 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=Non
     on the maximum: after the clamp a NaN or +inf shows there, and no
     mask of the result is built.
 
-    The hard-assignment fits call ``pairwise_sq_dists(x, centers)``.
+    ``hard_assignment_loop`` calls ``pairwise_sq_dists(x, centers)``.
     ``core.fit`` calls ``pairwise_sq_dists(centers, x, block=...)`` with
     ``block`` the ``distance_block`` of the second argument, built once
     per fit and used in its place: the distances are then one GEMM of
@@ -228,6 +228,31 @@ def reseed_empty_clusters(x, assign, centers, dist_assigned, k, metric="sq"):
         selection = np.minimum(selection, to_new)
         moved.append((k_empty, cand))
     return assign, centers, dist, moved
+
+
+def hard_assignment_loop(x, centers, k, max_iter, dists, update, metric="sq", loss=None):
+    """The sweeps of k-means, k-medians, k-medoids and ``core.fit_fast``; returns (labels, centers, trace).
+
+    A sweep assigns each point to its nearest center under ``dists``, re-seeds
+    empty clusters under ``metric``, traces the assigned distances' sum (or
+    ``loss``) and calls ``update(assign, dist, moved, repeated, centers)``,
+    ``repeated`` meaning the previous sweep's assignment with no re-seed.  The
+    update returns the next centers, kept either way, and whether to stop.
+    """
+    trace: list[float] = []
+    prev = None
+    for _ in range(max_iter):
+        d = dists(x, centers)
+        assign = d.argmin(axis=1)
+        dist = d[np.arange(x.shape[0]), assign]
+        assign, centers, dist, moved = reseed_empty_clusters(x, assign, centers, dist, k, metric)
+        trace.append(float(dist.sum() if loss is None else loss(dist)))
+        repeated = prev is not None and not moved and np.array_equal(assign, prev)
+        centers, stop = update(assign, dist, moved, repeated, centers)
+        if stop:
+            break
+        prev = assign
+    return assign, centers, trace
 
 
 def cluster_means(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:

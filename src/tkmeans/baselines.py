@@ -5,6 +5,10 @@ the lowest center index, and re-seed empty clusters to the point farthest
 from its assigned center.  k-means and k-means++ work in squared
 Euclidean distance; k-medoids and k-medians work in Manhattan (L1)
 distance, with the alternating Voronoi update rather than full PAM swaps.
+These fits and ``core.fit_fast`` share one sweep loop,
+``_util.hard_assignment_loop``.  k-means and k-medians stop when the
+assignment repeats, before updating; k-medoids when the medoid indices
+repeat; ``fit_fast`` when the largest center shift falls below ``tol``.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
 
 
 def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:
@@ -52,6 +56,26 @@ def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:
     return data.samples[idx].copy()
 
 
+def _loop(x, centers, k, cfg, dists, update, metric) -> ClusteringResult:
+    """Run the shared hard-assignment loop from ``centers``; the wall time covers the loop alone."""
+    start = time.perf_counter()
+    labels, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update, metric)
+    return ClusteringResult(labels, centers, np.asarray(trace), len(trace), time.perf_counter() - start)
+
+
+def _alternate(data, k, cfg, dists, metric, next_centers) -> ClusteringResult:
+    """Seed, then alternate assignment and ``next_centers(x, assign, k)``, stopping on a repeated assignment."""
+    cfg = cfg or BaselineConfig()
+    k = _util.check_k(k, data.n)
+    x = data.samples
+    centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
+
+    def update(assign, dist, moved, repeated, centers):
+        return (centers if repeated else next_centers(x, assign, k)), repeated
+
+    return _loop(x, centers, k, cfg, dists, update, metric)
+
+
 def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> ClusteringResult:
     """Lloyd iterations: nearest-center assignment, mean update.
 
@@ -59,28 +83,7 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
     trace records the sum of squared distances to the assigned centers at
     each assignment step and is exactly non-increasing.
     """
-    cfg = cfg or BaselineConfig()
-    k = _util.check_k(k, data.n)
-    x = data.samples
-    rng = np.random.default_rng(cfg.seed)
-    centers, _ = _util.init_centers(x, k, rng, cfg.init)
-
-    start = time.perf_counter()
-    trace: list[float] = []
-    prev = None
-    assign = None
-    for _ in range(cfg.max_iter):
-        d2 = _util.pairwise_sq_dists(x, centers)
-        assign = d2.argmin(axis=1)
-        dist = d2[np.arange(x.shape[0]), assign]
-        assign, centers, dist, moved = _util.reseed_empty_clusters(x, assign, centers, dist, k)
-        trace.append(float(dist.sum()))
-        if prev is not None and not moved and np.array_equal(assign, prev):
-            break
-        centers = _util.cluster_means(x, assign, k)
-        prev = assign
-    wall = time.perf_counter() - start
-    return ClusteringResult(assign, centers, np.asarray(trace), len(trace), wall)
+    return _alternate(data, k, cfg, _util.pairwise_sq_dists, "sq", _util.cluster_means)
 
 
 # entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block up to 1448 members
@@ -118,13 +121,12 @@ def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
 
     Assign each point to the nearest medoid, then make each cluster's
     medoid the member minimizing the total L1 distance to its cluster.
-    Stops when the medoid indices repeat.
+    Stops when the medoid indices, not just their coordinates, repeat.
     """
     cfg = cfg or BaselineConfig()
     k = _util.check_k(k, data.n)
     x = data.samples
-    rng = np.random.default_rng(cfg.seed)
-    centers, idx = _util.init_centers(x, k, rng, cfg.init)
+    centers, idx = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
     if idx is None:
         # explicit coordinates: snap to distinct nearest members
         idx = np.empty(k, dtype=np.int64)
@@ -134,24 +136,21 @@ def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
             idx[j] = next(int(i) for i in order if int(i) not in taken)
             taken.add(int(idx[j]))
 
-    start = time.perf_counter()
-    trace: list[float] = []
-    assign = None
-    for _ in range(cfg.max_iter):
-        d1 = _util.pairwise_l1_dists(x, x[idx])
-        assign = d1.argmin(axis=1)
-        dist = d1[np.arange(x.shape[0]), assign]
-        assign, _, dist, moved = _util.reseed_empty_clusters(x, assign, x[idx].copy(), dist, k, metric="l1")
+    def update(assign, dist, moved, repeated, centers):
         for j, cand in moved:
             idx[j] = cand
-        trace.append(float(dist.sum()))
         new_idx = np.array([_medoid_of(x, np.flatnonzero(assign == j)) for j in range(k)])
         # a re-seed invalidates the assignment, so force another sweep
-        if not moved and np.array_equal(new_idx, idx):
-            break
-        idx = new_idx
-    wall = time.perf_counter() - start
-    return ClusteringResult(assign, x[idx].copy(), np.asarray(trace), len(trace), wall)
+        stop = not moved and np.array_equal(new_idx, idx)
+        idx[:] = new_idx
+        return x[idx], stop
+
+    return _loop(x, x[idx], k, cfg, _util.pairwise_l1_dists, update, "l1")
+
+
+def _medians(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Coordinate-wise median of each cluster."""
+    return np.stack([np.median(x[assign == j], axis=0) for j in range(k)])
 
 
 def kmedians_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> ClusteringResult:
@@ -160,25 +159,4 @@ def kmedians_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
     An even-sized cluster takes the midpoint of the two middle values.
     Stops when the assignment repeats.
     """
-    cfg = cfg or BaselineConfig()
-    k = _util.check_k(k, data.n)
-    x = data.samples
-    rng = np.random.default_rng(cfg.seed)
-    centers, _ = _util.init_centers(x, k, rng, cfg.init)
-
-    start = time.perf_counter()
-    trace: list[float] = []
-    prev = None
-    assign = None
-    for _ in range(cfg.max_iter):
-        d1 = _util.pairwise_l1_dists(x, centers)
-        assign = d1.argmin(axis=1)
-        dist = d1[np.arange(x.shape[0]), assign]
-        assign, centers, dist, moved = _util.reseed_empty_clusters(x, assign, centers, dist, k, metric="l1")
-        trace.append(float(dist.sum()))
-        if prev is not None and not moved and np.array_equal(assign, prev):
-            break
-        centers = np.stack([np.median(x[assign == j], axis=0) for j in range(k)])
-        prev = assign
-    wall = time.perf_counter() - start
-    return ClusteringResult(assign, centers, np.asarray(trace), len(trace), wall)
+    return _alternate(data, k, cfg, _util.pairwise_l1_dists, "l1", _medians)

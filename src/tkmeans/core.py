@@ -116,12 +116,12 @@ class FitConfig(BaselineConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fixed_nu is not None and self.fixed_nu <= 0:
-            raise DomainError(f"fixed_nu must be > 0, got {self.fixed_nu}")
-        if self.alpha_floor <= 0:
-            raise DomainError(f"alpha_floor must be > 0, got {self.alpha_floor}")
-        if self.fast_alpha <= 0:
-            raise DomainError(f"fast_alpha must be > 0, got {self.fast_alpha}")
+        if self.fixed_nu is not None and not 0 < self.fixed_nu < math.inf:
+            raise DomainError(f"fixed_nu must be finite and > 0, got {self.fixed_nu}")
+        if not 0 < self.alpha_floor < math.inf:
+            raise DomainError(f"alpha_floor must be finite and > 0, got {self.alpha_floor}")
+        if not 0 < self.fast_alpha < math.inf:
+            raise DomainError(f"fast_alpha must be finite and > 0, got {self.fast_alpha}")
         lo, hi = self.nu_bounds
         if not (1.0 <= lo <= hi):
             raise DomainError(f"nu_bounds must satisfy 1 <= lo <= hi, got {self.nu_bounds}")
@@ -434,9 +434,10 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
 
     Each point joins its nearest center (ties go to the lowest index) with
     weight 1/(c + d^2), c = nu * fast_alpha; centers move to the weighted
-    mean of their members, and neither alpha nor nu is re-estimated.
-    Stops when the largest center shift falls below ``tol``.  Empty
-    clusters re-seed to the point farthest from its assigned center.
+    mean of their members, and neither alpha nor nu is re-estimated.  The
+    sweeps are ``_util.hard_assignment_loop``'s, so empty clusters re-seed
+    as in k-means.  Stops when the largest center shift falls below ``tol``,
+    keeping the moved centers; the labels are the nearest final centers.
     """
     cfg = cfg or FitConfig()
     k = _util.check_k(k, data.n)
@@ -445,15 +446,9 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
     c = nu * cfg.fast_alpha
 
     start = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    centers, _ = _util.init_centers(x, k, rng, cfg.init)
-    trace: list[float] = []
-    for _ in range(cfg.max_iter):
-        d2 = _util.pairwise_sq_dists(x, centers)
-        assign = d2.argmin(axis=1)
-        dist = d2[np.arange(x.shape[0]), assign]
-        assign, centers, dist, _ = _util.reseed_empty_clusters(x, assign, centers, dist, k)
-        trace.append(float(np.log1p(_divide(dist, c)).sum()))
+    centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
+
+    def update(assign, dist, moved, repeated, centers):
         weights = 1.0 / (c + dist)
         new_centers = np.empty_like(centers)
         for j in range(k):
@@ -461,9 +456,10 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
             wj = weights[members]
             new_centers[j] = wj @ x[members] / wj.sum()
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        if shift < cfg.tol:
-            break
+        return new_centers, shift < cfg.tol
+
+    _, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, _util.pairwise_sq_dists, update,
+                                                   loss=lambda d: np.log1p(_divide(d, c)).sum())
     labels = _util.pairwise_sq_dists(x, centers).argmin(axis=1)
     wall = time.perf_counter() - start
     model = TkModel(centers, cfg.fast_alpha, nu)

@@ -82,8 +82,8 @@ def wb_ratio(data: Dataset, centers, labels) -> float:
     """Within-cluster sum of squares over between-cluster sum of squares.
 
     W sums squared distances to assigned centers; B sums cluster sizes
-    times squared distances of centers to the global data mean.  B = 0
-    (all populated centers at the global mean) is degenerate.
+    times squared distances of centers to the global data mean.  B = 0 (all
+    populated centers at the global mean) or one populated cluster is degenerate.
     """
     w = float(_assigned_sq_dists(data, centers, labels).sum())
     centers = np.asarray(centers, dtype=np.float64)
@@ -91,6 +91,6 @@ def wb_ratio(data: Dataset, centers, labels) -> float:
     counts = np.bincount(labels, minlength=centers.shape[0])
     global_mean = data.samples.mean(axis=0)
     b = float((counts * ((centers - global_mean) ** 2).sum(axis=1)).sum())
-    if b == 0.0:
-        raise DegenerateMetricError("between-cluster sum of squares is zero")
+    if np.count_nonzero(counts) < 2 or b == 0.0:
+        raise DegenerateMetricError("W/B needs two populated clusters and a non-zero between-cluster sum of squares")
     return w / b

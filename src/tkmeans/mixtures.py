@@ -65,8 +65,8 @@ def _finite(what: str, compute) -> np.ndarray:
 
 def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if ridge is not None:
-        if ridge < 0:
-            raise DomainError(f"ridge must be >= 0, got {ridge}")
+        if not 0 <= ridge < math.inf:
+            raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
         return float(ridge)
     value = 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
     # data that are not constant need a positive ridge; at tiny scales the variance or 1e-6 of it rounds to 0
@@ -241,8 +241,8 @@ def gmm_fit(
     start = time.perf_counter()
     weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
     if constrained_alpha is not None:
-        if constrained_alpha <= 0:
-            raise DomainError(f"constrained_alpha must be > 0, got {constrained_alpha}")
+        if not 0 < constrained_alpha < math.inf:
+            raise DomainError(f"constrained_alpha must be finite and > 0, got {constrained_alpha}")
         covs = np.repeat((constrained_alpha * np.eye(data.p))[None, :, :], k, axis=0)
 
     def log_resp(weights, means, covs):
@@ -301,8 +301,8 @@ def tmm_fit(
     p = data.p
     ridge_v = _default_ridge(x, ridge)
     nu = float(fixed_nu) if fixed_nu is not None else float(init_nu)
-    if nu <= 0:
-        raise DomainError(f"nu must be > 0, got {nu}")
+    if not 0 < nu < math.inf:
+        raise DomainError(f"nu must be finite and > 0, got {nu}")
     start = time.perf_counter()
     weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
 

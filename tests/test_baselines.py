@@ -184,6 +184,24 @@ class TestKmedians:
             assert (np.diff(r.loss_trace) <= 1e-12).all()
 
 
+
+class TestStopRules:
+    @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit])
+    def test_a_repeated_assignment_stops_the_fit(self, fit):
+        # the seeds are their clusters' means and medians: the centers repeat after one sweep,
+        # but the repeat of the assignment is seen only in a second sweep
+        d = line(-1, 0, 1, 9, 10, 11)
+        r = fit(d, 2, BaselineConfig(init=np.array([[0.0], [10.0]])))
+        assert r.iterations == 2 and r.loss_trace.tolist() == [4.0, 4.0]
+        assert r.centers[:, 0].tolist() == [0.0, 10.0]
+
+    def test_kmedoids_stops_on_repeated_medoid_indices(self):
+        # seeds rows 1 and 2; the first sweep moves medoid 0 to the coincident row 0,
+        # so the medoid coordinates repeat but their indices do not
+        r = kmedoids_fit(Dataset([[0.0], [0.0], [10.0], [10.0], [11.0]]), 2, BaselineConfig(seed=1))
+        assert r.iterations == 2 and r.loss_trace.tolist() == [1.0, 1.0]
+        assert r.labels.tolist() == [0, 0, 1, 1, 1]
+
 def _exhaustive_best_partition(x, k):
     """Minimal k-means cost partition by enumerating all assignments."""
     n = x.shape[0]

@@ -65,6 +65,12 @@ class TestRunCommand:
         assert code == 2
         assert "data error" in err
 
+    def test_non_finite_fit_setting_exit_2(self, capsys):
+        for algo, flag in (("tkmeans", "--tol"), ("gmm", "--tol"), ("fast-tkmeans", "--fast-alpha"),
+                           ("fast-tkmeans", "--nu"), ("gmm", "--ridge")):
+            code, _, err = run_cli(capsys, "run", "--algo", algo, "--gen", TWO_BLOBS, "--k", "2", flag, "nan")
+            assert code == 2 and "data error" in err, (algo, flag)
+
     def test_numerical_failure_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "gmm", "--gen", "blobs:k=1,n=2,p=5,std=1,seed=0",

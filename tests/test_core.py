@@ -559,6 +559,20 @@ class TestFitFast:
         assert set(r.labels.tolist()) <= {0, 1}
 
 
+    def test_stops_on_the_center_shift_and_keeps_the_new_centers(self):
+        # one cluster: the assignment repeats from the second sweep on while the center still moves
+        x = np.array([[0.0], [1.0], [3.0]])
+        cfg = FitConfig(init=np.array([[2.0]]))
+        r = fit_fast(Dataset(x), 1, cfg)
+        center, shifts = 2.0, []
+        while not shifts or shifts[-1] >= cfg.tol:
+            w = 1.0 / (cfg.fast_alpha + (x[:, 0] - center) ** 2)
+            new = float(w @ x[:, 0] / w.sum())
+            shifts.append(abs(new - center))
+            center = new
+        assert r.iterations == len(shifts) > 2
+        assert r.centers[0, 0] == pytest.approx(center, rel=1e-12, abs=0)
+
 class TestOracleIteration:
     def test_full_em_iteration_matches_transcription(self):
         # module-level spot check; the acceptance suite runs 50 instances

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import asdict, fields
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkmeans import harness
+from tkmeans.baselines import BaselineConfig
+from tkmeans.core import FitConfig
 from tkmeans.datasets import Dataset, generate_gaussian_blobs
-from tkmeans.errors import NumericalError, TkmeansError, UsageError
+from tkmeans.errors import DegenerateMetricError, DomainError, NumericalError, TkmeansError, UsageError
 from tkmeans.harness import (
     ALGORITHMS,
     RunSpec,
@@ -20,6 +23,7 @@ from tkmeans.harness import (
     run_robustness,
 )
 from tkmeans.metrics import clustering_mse
+from tkmeans.mixtures import gmm_fit, tmm_fit
 
 TWO_BLOBS = "blobs:k=2,n=30,p=2,std=0.3,box=15,seed=5"
 
@@ -77,6 +81,31 @@ class TestRunOnce:
             assert result.iterations >= 1
             assert report.mse >= 0
 
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_cluster_has_no_wb_ratio(self, algorithm):
+        data = Dataset(np.random.default_rng(0).normal(0, 1, (40, 3)))
+        with pytest.raises(DegenerateMetricError):
+            run_once(RunSpec(algorithm, data, 1), seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        pytest.param("tol", lambda v: BaselineConfig(tol=v), id="tol"),
+        pytest.param("fixed_nu", lambda v: FitConfig(fixed_nu=v), id="fixed_nu"),
+        pytest.param("alpha_floor", lambda v: FitConfig(alpha_floor=v), id="alpha_floor"),
+        pytest.param("fast_alpha", lambda v: FitConfig(fast_alpha=v), id="fast_alpha"),
+        pytest.param("ridge", lambda v: gmm_fit(parse_generator_spec(TWO_BLOBS), 2, ridge=v), id="ridge"),
+        pytest.param("constrained_alpha", lambda v: gmm_fit(parse_generator_spec(TWO_BLOBS), 2, constrained_alpha=v),
+                     id="constrained_alpha"),
+        pytest.param("nu", lambda v: tmm_fit(parse_generator_spec(TWO_BLOBS), 2, fixed_nu=v), id="nu"),
+    ],
+)
+def test_non_finite_fit_settings_are_rejected_up_front(field, build, value):
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        build(value)
 
 class TestEveryAlgorithm:
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)

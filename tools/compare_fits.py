@@ -1,0 +1,137 @@
+"""Refit every algorithm in two source trees and classify how each fit differs.
+
+Run from the root of a checkout::
+
+    python3 tools/compare_fits.py --parent ../parent-tree --change . --out fits.json
+
+The fits are the cells of the ``protocol`` benchmark workload, each
+refitted over ``--seeds`` (default 7000-7039) for every name in
+``harness.ALGORITHMS``:
+
+* standardized Iris (``data/iris.csv`` of this checkout), K=3;
+* the S1-like blobs ``blobs:k=15,n=100,p=2,std=0.45,box=10,seed=43``, K=15;
+* the ``robust`` blobs ``blobs:k=4,n=75,p=2,std=0.5,box=8,seed=11``,
+  contaminated at outlier fractions 0, 0.05 and 0.1 with the fit's seed
+  (box expansion 2, as ``tkmeans robust`` does), K=4.
+
+Each tree's fits run in their own subprocess, with ``PYTHONPATH=DIR/src``,
+through ``harness.run_once``.  Each fit pair is classified, in this order,
+as ``bit-identical`` (labels, centers, loss trace and iteration count
+equal bit for bit, or both fits failed with one message), ``centers within
+1e-10`` (same labels and iterations, centers at most 1e-10 apart in every
+coordinate), ``labels differ``, ``iterations differ`` or ``other`` (one
+fit failed, or same labels and iterations with centers farther apart).
+The per-class counts go to stdout and every fit pair, with its class, to
+``--out``.  Standard library only in this process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+S1_LIKE = "blobs:k=15,n=100,p=2,std=0.45,box=10,seed=43"
+ROBUST_DATA = "blobs:k=4,n=75,p=2,std=0.5,box=8,seed=11"
+FRACTIONS = (0.0, 0.05, 0.1)
+CLOSE = 1e-10
+CLASSES = ("bit-identical", "centers within 1e-10", "labels differ", "iterations differ", "other")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"7000-7039"`` or ``"1,5,9"`` as a list of seeds."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def refit(seeds: list[int], iris_path: str) -> dict:
+    """Every fit of the cells over ``seeds`` with the ``tkmeans`` on ``sys.path``; runs in the worker."""
+    import tkmeans
+    from tkmeans import datasets, harness
+
+    iris = datasets.standardize(datasets.load_csv_labeled(iris_path))[0]
+    robust = harness.parse_generator_spec(ROBUST_DATA)
+    # (name, K, outlier fraction or None for no contamination, base dataset)
+    cells = [("iris", 3, None, iris), ("s1", 15, None, harness.parse_generator_spec(S1_LIKE))]
+    cells += [(f"robust-{f:g}", robust.n_classes, f, robust) for f in FRACTIONS]
+    fits = []
+    for algorithm in harness.ALGORITHMS:
+        for cell, k, fraction, base in cells:
+            for seed in seeds:
+                record = {"algorithm": algorithm, "cell": cell, "seed": seed}
+                try:
+                    data = base if fraction is None else datasets.contaminate(
+                        base, datasets.ContaminationSpec(fraction, 2.0, seed=seed))
+                    result, _ = harness.run_once(harness.RunSpec(algorithm, data, k), seed, data=data)
+                    record.update(labels=result.labels.tolist(), centers=result.centers.tolist(),
+                                  loss_trace=result.loss_trace.tolist(), iterations=result.iterations)
+                except Exception as exc:  # noqa: BLE001 - a failed fit is one more outcome to compare
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                fits.append(record)
+    return {"module": tkmeans.__file__, "fits": fits}
+
+
+def classify(a: dict, b: dict) -> str:
+    """The class of one fit pair, from two records as ``refit`` writes them."""
+    if "error" in a or "error" in b:
+        return "bit-identical" if a.get("error") == b.get("error") else "other"
+    # JSON writes each float as its shortest round-trip repr, so equal text is equal bits
+    if all(json.dumps(a[key]) == json.dumps(b[key]) for key in ("labels", "centers", "loss_trace", "iterations")):
+        return "bit-identical"
+    if a["labels"] != b["labels"]:
+        return "labels differ"
+    if a["iterations"] != b["iterations"]:
+        return "iterations differ"
+    gap = max(abs(u - v) for ru, rv in zip(a["centers"], b["centers"]) for u, v in zip(ru, rv))
+    return "centers within 1e-10" if gap <= CLOSE else "other"
+
+
+def run_tree(tree: Path, seeds: str) -> list[dict]:
+    """Refit in a subprocess that imports ``tkmeans`` from ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--seeds", seeds]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"refit in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    out = json.loads(proc.stdout)
+    if not Path(out["module"]).resolve().is_relative_to((tree / "src").resolve()):
+        raise RuntimeError(f"refit in {tree} imported tkmeans from {out['module']}")
+    return out["fits"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="source tree measured as the base")
+    parser.add_argument("--change", type=Path, help="source tree compared with it")
+    parser.add_argument("--seeds", default="7000-7039", help="a range lo-hi or a comma list")
+    parser.add_argument("--out", type=Path, help="per-fit JSON output path")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        json.dump(refit(parse_seeds(args.seeds), str(ROOT / "data" / "iris.csv")), sys.stdout)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+    parent, change = run_tree(args.parent, args.seeds), run_tree(args.change, args.seeds)
+    pairs = []
+    for a, b in zip(parent, change, strict=True):
+        key = {name: a[name] for name in ("algorithm", "cell", "seed")}
+        pairs.append({**key, "class": classify(a, b), "parent": a, "change": b})
+    counts = Counter(p["class"] for p in pairs)
+    for name in CLASSES:
+        print(f"{name}: {counts[name]}")
+    print(f"total: {len(pairs)}")
+    if args.out:
+        args.out.write_text(json.dumps(pairs) + "\n", encoding="utf-8")
+    return 0 if counts["bit-identical"] == len(pairs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
