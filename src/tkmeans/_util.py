@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .specialfn import digamma, log_gamma
 
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 
@@ -80,6 +83,31 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=Non
     if not np.isfinite(d2.max()):
         raise NumericalError("squared distances overflow float64; rescale the data")
     return d2
+
+
+def converged(loss: float, prev: float | None, tol: float) -> bool:
+    """The EM stop test: ``loss`` moved from ``prev`` by less than ``tol`` relative to ``prev``."""
+    return prev is not None and abs(loss - prev) < tol * max(abs(prev), 1e-12)
+
+
+NU_START = 3.0  # where a free-nu EM starts
+NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_update in tmm_fit, and FitConfig.nu_bounds' default
+
+
+def log_t_const(p: int, alpha: float, nu: float) -> float:
+    """The distance-free part of ln t at scale ``alpha * I``; ``tmm_fit`` adds each log-determinant to ``alpha = 1``'s."""
+    return (
+        log_gamma((nu + p) / 2.0)
+        - log_gamma(nu / 2.0)
+        - 0.5 * p * math.log(nu * math.pi)
+        - 0.5 * p * math.log(alpha)
+    )
+
+
+def log_u_offset(nu: float, p: int) -> float:
+    """``E ln u + log1p(maha / nu)``: ln((nu+p)/nu) + digamma((nu+p)/2) - ln((nu+p)/2)."""
+    half = (nu + p) / 2.0
+    return math.log((nu + p) / nu) + digamma(half) - math.log(half)
 
 
 def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray,
@@ -236,22 +264,22 @@ def hard_assignment_loop(x, centers, k, max_iter, dists, update, metric="sq", lo
     A sweep assigns each point to its nearest center under ``dists``, re-seeds
     empty clusters under ``metric``, traces the assigned distances' sum (or
     ``loss``) and calls ``update(assign, dist, moved, repeated, centers)``,
-    ``repeated`` meaning the previous sweep's assignment with no re-seed.  The
+    ``repeated`` meaning the previous sweep's assignment and re-seeds.  The
     update returns the next centers, kept either way, and whether to stop.
     """
     trace: list[float] = []
-    prev = None
+    prev = prev_moved = None
     for _ in range(max_iter):
         d = dists(x, centers)
         assign = d.argmin(axis=1)
         dist = d[np.arange(x.shape[0]), assign]
         assign, centers, dist, moved = reseed_empty_clusters(x, assign, centers, dist, k, metric)
         trace.append(float(dist.sum() if loss is None else loss(dist)))
-        repeated = prev is not None and not moved and np.array_equal(assign, prev)
+        repeated = prev is not None and moved == prev_moved and np.array_equal(assign, prev)
         centers, stop = update(assign, dist, moved, repeated, centers)
         if stop:
             break
-        prev = assign
+        prev, prev_moved = assign, moved
     return assign, centers, trace
 
 

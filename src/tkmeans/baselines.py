@@ -140,8 +140,8 @@ def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
         for j, cand in moved:
             idx[j] = cand
         new_idx = np.array([_medoid_of(x, np.flatnonzero(assign == j)) for j in range(k)])
-        # a re-seed invalidates the assignment, so force another sweep
-        stop = not moved and np.array_equal(new_idx, idx)
+        # a re-seed invalidates the assignment, so force another sweep unless this one repeated the last
+        stop = (not moved or repeated) and np.array_equal(new_idx, idx)
         idx[:] = new_idx
         return x[idx], stop
 

@@ -43,7 +43,7 @@ from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError, NumericalError
 from .results import ClusteringResult
-from .specialfn import _log_normalize, digamma, log_gamma, log_sum_exp
+from .specialfn import _log_normalize, log_sum_exp
 
 __all__ = [
     "TkModel",
@@ -111,7 +111,7 @@ class FitConfig(BaselineConfig):
 
     fixed_nu: float | None = None
     alpha_floor: float = 1e-12
-    nu_bounds: tuple[float, float] = (1.0, 200.0)
+    nu_bounds: tuple[float, float] = _util.NU_BOUNDS
     fast_alpha: float = 1e-8
 
     def __post_init__(self):
@@ -147,17 +147,7 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
         raise DomainError(f"nu must be finite and > 0, got {nu}")
     p = xv.shape[0]
     d2 = float(((xv - cv) ** 2).sum())
-    return _log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
-
-
-def _log_t_const(p: int, alpha: float, nu: float) -> float:
-    """The part of ln t that does not depend on the distance."""
-    return (
-        log_gamma((nu + p) / 2.0)
-        - log_gamma(nu / 2.0)
-        - 0.5 * p * math.log(nu * math.pi)
-        - 0.5 * p * math.log(alpha)
-    )
+    return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
 
 
 @dataclass(frozen=True)
@@ -224,7 +214,7 @@ def _log1p_scaled(d2: np.ndarray, model: TkModel, out: np.ndarray | None = None)
 def _log_t_matrix(lp: np.ndarray, model: TkModel, out: np.ndarray | None = None) -> np.ndarray:
     """ln t of every pair from ``lp = log1p(d2 / (nu*alpha))``, in the layout of ``lp``."""
     logt = np.multiply(lp, -0.5 * (model.nu + model.p), out=out)
-    logt += _log_t_const(model.p, model.alpha, model.nu)
+    logt += _util.log_t_const(model.p, model.alpha, model.nu)
     return logt
 
 
@@ -249,8 +239,7 @@ def _e_step(d2: np.ndarray, model: TkModel, ws: _Workspace = _FRESH) -> tuple[ES
     lse, tau = _log_normalize(logt, out=logt)
     u = np.add(scaled, 1.0, out=scaled)
     np.divide((nu + p) / nu, u, out=u)
-    half = (nu + p) / 2.0
-    log_u_expect = np.subtract(math.log((nu + p) / nu) + digamma(half) - math.log(half), lp, out=lp)
+    log_u_expect = np.subtract(_util.log_u_offset(nu, p), lp, out=lp)
     return EStepResult(tau, u, log_u_expect), lse
 
 
@@ -365,9 +354,6 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, ws: _Works
     return TkModel(centers, max(alpha0, cfg.alpha_floor), nu0)
 
 
-_NU_START = 3.0  # where the free-nu EM starts
-
-
 def _run_em(data: Dataset, model: TkModel, ws: _Workspace, cfg: FitConfig, budget: int, trace: list[float]):
     """Iterate M- and E-steps until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
 
@@ -386,7 +372,7 @@ def _run_em(data: Dataset, model: TkModel, ws: _Workspace, cfg: FitConfig, budge
         e, lse = _e_step(d2, model, ws)
         loss = _nll(lse, model.k)
         trace.append(loss)
-        if prev_loss is not None and abs(loss - prev_loss) < cfg.tol * max(abs(prev_loss), 1e-12):
+        if _util.converged(loss, prev_loss, cfg.tol):
             break
         prev_loss = loss
     return model, e.tau.argmax(axis=1)
@@ -423,7 +409,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     model = _initial_model(data, k, cfg, nu0, ws)
     model, labels = _run_em(data, model, ws, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
-        model = TkModel(model.centers, model.alpha, _NU_START)
+        model = TkModel(model.centers, model.alpha, _util.NU_START)
         model, labels = _run_em(data, model, ws, cfg, cfg.max_iter - len(trace), trace)
     wall = time.perf_counter() - start
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)

@@ -2,10 +2,11 @@
 
 These are the classical model-based baselines: free mixing weights, one
 full covariance matrix per component (stabilized by a ridge), and for the
-t mixture a shared degrees-of-freedom parameter estimated by the same
-closed-form approximation the core algorithm uses.  Means default to
-k-means++ seeding, covariances to the global data scatter, and weights to
-uniform.
+t mixture a shared degrees-of-freedom parameter that starts at 3 and is
+estimated by the closed-form approximation the core algorithm uses,
+clamped to [1, 200].  Means default to k-means++ seeding, covariances to
+the global data scatter, and weights to uniform.  Both fits run one EM
+loop (``_em``); the t fit adds the precision weights and the ``nu`` update.
 
 Each E-step evaluates all K components in one batched computation (see
 ``_maha_logdet``): one Cholesky of the (K, p, p) covariance stack, one
@@ -33,7 +34,7 @@ from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError, NumericalError
 from .results import ClusteringResult
-from .specialfn import _log_normalize, digamma, log_gamma
+from .specialfn import _log_normalize
 
 __all__ = ["MixtureModel", "gmm_fit", "tmm_fit"]
 
@@ -48,10 +49,6 @@ class MixtureModel:
     means: np.ndarray  # (K, p)
     covariances: np.ndarray  # (K, p, p), symmetric positive definite
     nu: float | None = None
-
-
-def _default_cfg(cfg: BaselineConfig | None) -> BaselineConfig:
-    return cfg if cfg is not None else BaselineConfig(init="kmeanspp")
 
 
 def _finite(what: str, compute) -> np.ndarray:
@@ -73,16 +70,6 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if value == 0.0 and np.ptp(x, axis=0).any():
         raise NumericalError("the default ridge underflows float64; rescale the data or pass ridge")
     return value
-
-
-def _init_mixture(data: Dataset, k: int, cfg: BaselineConfig, ridge: float):
-    x = data.samples
-    rng = np.random.default_rng(cfg.seed)
-    means, _ = _util.init_centers(x, k, rng, cfg.init)
-    base = _finite("the data scatter", lambda: np.cov(x, rowvar=False, ddof=0)).reshape(data.p, data.p)
-    covs = np.repeat((base + ridge * np.eye(data.p))[None, :, :], k, axis=0)
-    weights = np.full(k, 1.0 / k)
-    return weights, means, covs
 
 
 def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
@@ -204,8 +191,73 @@ def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, rid
     return mom.c + dm, covs
 
 
-def _finish(log_r, weights, means, covs, trace, start, nu=None):
-    """Result and model from the E-step ``log_r`` of the final parameters."""
+def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free_nu=False):
+    """The EM loop of ``gmm_fit`` (``nu`` None) and ``tmm_fit``; returns (ClusteringResult, MixtureModel).
+
+    Each iteration traces the log likelihood of the current E-step, stops
+    on ``_util.converged``, runs the M-step and then the E-step of the new
+    parameters, so a fit stopped by ``max_iter`` still labels by its last
+    parameters.  The Gaussian M-step weights every point by its
+    responsibility (``w = r``, ``mass = nk``); the t M-step by ``r * u``,
+    and it moves ``nu`` when ``free_nu``.
+    """
+    cfg = cfg if cfg is not None else BaselineConfig(init="kmeanspp")
+    k = _util.check_k(k, data.n)
+    if data.n < 2:
+        raise DomainError("mixture fits need at least 2 samples")
+    x, p = data.samples, data.p
+    ridge_v = _default_ridge(x, ridge)
+    if nu is not None and not 0 < nu < math.inf:
+        raise DomainError(f"nu must be finite and > 0, got {nu}")
+    start = time.perf_counter()
+    weights = np.full(k, 1.0 / k)
+    means, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
+    cov = _finite("the data scatter", lambda: np.cov(x, rowvar=False, ddof=0)).reshape(p, p) + ridge_v * np.eye(p)
+    if constrained_alpha is not None:
+        if not 0 < constrained_alpha < math.inf:
+            raise DomainError(f"constrained_alpha must be finite and > 0, got {constrained_alpha}")
+        cov = constrained_alpha * np.eye(p)
+    covs = np.repeat(cov[None, :, :], k, axis=0)
+
+    def e_step(weights, means, covs, nu):
+        """Log responsibilities (unnormalized), the distances and, for the t fit, ``log1p(maha / nu)``."""
+        maha, logdet = _maha_logdet(x, means, covs)
+        if nu is None:
+            return np.log(weights) - 0.5 * (p * _LOG_2PI + logdet + maha), maha, None
+        lp = np.log1p(maha / nu)
+        return np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet - 0.5 * (nu + p) * lp, maha, lp
+
+    mom = _row_moments(x, k)
+    trace: list[float] = []
+    prev_ll = None
+    log_r, maha, lp = e_step(weights, means, covs, nu)
+    for _ in range(cfg.max_iter):
+        row_ll, r = _log_normalize(log_r)
+        ll = float(row_ll.sum())
+        trace.append(ll)
+        if _util.converged(ll, prev_ll, cfg.tol):
+            break
+        prev_ll = ll
+        nk = r.sum(axis=0)
+        if constrained_alpha is not None:
+            # a component with no mass keeps its mean
+            live = nk > 0.0
+            means[live] = mom.c + (r.T @ mom.xc)[live] / nk[live, None]
+        else:
+            if nu is None:
+                w, mass = r, nk
+            else:
+                u = (nu + p) / (nu + maha)
+                w = r * u
+                mass = w.sum(axis=0)
+            if (nk <= 0.0).any() or (mass <= 0.0).any():
+                raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
+            weights = nk / data.n
+            means, covs = _scatter(mom, w, mass, nk, ridge_v)
+            if free_nu:
+                log_u_expect = _util.log_u_offset(nu, p) - lp
+                nu = _util.nu_update(r, log_u_expect, u, _util.NU_BOUNDS, np.ones(k, dtype=bool))
+        log_r, maha, lp = e_step(weights, means, covs, nu)
     labels = log_r.argmax(axis=1)
     wall = time.perf_counter() - start
     model = MixtureModel(weights.copy(), means.copy(), covs.copy(), nu=nu)
@@ -213,14 +265,8 @@ def _finish(log_r, weights, means, covs, trace, start, nu=None):
     return result, model
 
 
-def gmm_fit(
-    data: Dataset,
-    k: int,
-    cfg: BaselineConfig | None = None,
-    *,
-    ridge: float | None = None,
-    constrained_alpha: float | None = None,
-):
+def gmm_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None, *, ridge: float | None = None,
+            constrained_alpha: float | None = None):
     """EM for a Gaussian mixture; returns (ClusteringResult, MixtureModel).
 
     Responsibilities are normalized in log space; each M-step covariance
@@ -232,113 +278,18 @@ def gmm_fit(
     testing: weights stay uniform and every covariance is pinned to
     ``alpha * I``, so only the means are re-estimated.
     """
-    cfg = _default_cfg(cfg)
-    k = _util.check_k(k, data.n)
-    if data.n < 2:
-        raise DomainError("mixture fits need at least 2 samples")
-    x = data.samples
-    ridge_v = _default_ridge(x, ridge)
-    start = time.perf_counter()
-    weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
-    if constrained_alpha is not None:
-        if not 0 < constrained_alpha < math.inf:
-            raise DomainError(f"constrained_alpha must be finite and > 0, got {constrained_alpha}")
-        covs = np.repeat((constrained_alpha * np.eye(data.p))[None, :, :], k, axis=0)
-
-    def log_resp(weights, means, covs):
-        maha, logdet = _maha_logdet(x, means, covs)
-        return np.log(weights) - 0.5 * (data.p * _LOG_2PI + logdet + maha)
-
-    mom = _row_moments(x, k)
-    trace: list[float] = []
-    prev_ll = None
-    for _ in range(cfg.max_iter):
-        log_r = log_resp(weights, means, covs)
-        row_ll, r = _log_normalize(log_r)
-        ll = float(row_ll.sum())
-        trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) < cfg.tol * max(abs(prev_ll), 1e-12):
-            break
-        prev_ll = ll
-        nk = r.sum(axis=0)
-        if constrained_alpha is not None:
-            # a component with no mass keeps its mean
-            live = nk > 0.0
-            means[live] = mom.c + (r.T @ mom.xc)[live] / nk[live, None]
-            continue
-        if (nk <= 0.0).any():
-            raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
-        weights = nk / data.n
-        means, covs = _scatter(mom, r, nk, nk, ridge_v)
-    else:
-        # stopped by max_iter: the last M-step moved the parameters
-        log_r = log_resp(weights, means, covs)
-    return _finish(log_r, weights, means, covs, trace, start)
+    return _em(data, k, cfg, ridge, constrained_alpha=constrained_alpha)
 
 
-def tmm_fit(
-    data: Dataset,
-    k: int,
-    cfg: BaselineConfig | None = None,
-    *,
-    ridge: float | None = None,
-    fixed_nu: float | None = None,
-    init_nu: float = 3.0,
-    nu_bounds: tuple[float, float] = (1.0, 200.0),
-):
+def tmm_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None, *, ridge: float | None = None,
+            fixed_nu: float | None = None):
     """EM for a t mixture with full covariances and one shared nu.
 
     The precision weights u = (nu+p)/(nu + maha^2) discount far points in
-    the mean and scatter updates; ``nu`` is re-estimated each iteration
-    through the closed-form approximation unless ``fixed_nu`` pins it.
-    Returns (ClusteringResult, MixtureModel).
+    the mean and scatter updates.  Unless ``fixed_nu`` pins it, ``nu``
+    starts at 3 and is re-estimated each iteration through the closed-form
+    approximation ``core.fit`` uses, clamped to [1, 200].  Runs the EM loop
+    of ``gmm_fit``.  Returns (ClusteringResult, MixtureModel).
     """
-    cfg = _default_cfg(cfg)
-    k = _util.check_k(k, data.n)
-    if data.n < 2:
-        raise DomainError("mixture fits need at least 2 samples")
-    x = data.samples
-    p = data.p
-    ridge_v = _default_ridge(x, ridge)
-    nu = float(fixed_nu) if fixed_nu is not None else float(init_nu)
-    if not 0 < nu < math.inf:
-        raise DomainError(f"nu must be finite and > 0, got {nu}")
-    start = time.perf_counter()
-    weights, means, covs = _init_mixture(data, k, cfg, ridge_v)
-
-    def log_resp(weights, means, covs):
-        """Log responsibilities (unnormalized), the distances and ``log1p(maha / nu)``."""
-        maha, logdet = _maha_logdet(x, means, covs)
-        const = log_gamma((nu + p) / 2.0) - log_gamma(nu / 2.0) - 0.5 * p * math.log(nu * math.pi)
-        lp = np.log1p(maha / nu)
-        log_r = np.log(weights) + const - 0.5 * logdet - 0.5 * (nu + p) * lp
-        return log_r, maha, lp
-
-    mom = _row_moments(x, k)
-    trace: list[float] = []
-    prev_ll = None
-    for _ in range(cfg.max_iter):
-        log_r, maha, lp = log_resp(weights, means, covs)
-        row_ll, r = _log_normalize(log_r)
-        ll = float(row_ll.sum())
-        trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) < cfg.tol * max(abs(prev_ll), 1e-12):
-            break
-        prev_ll = ll
-        u = (nu + p) / (nu + maha)
-        ru = r * u
-        nk = r.sum(axis=0)
-        mass = ru.sum(axis=0)
-        if (nk <= 0.0).any() or (mass <= 0.0).any():
-            raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
-        weights = nk / data.n
-        means, covs = _scatter(mom, ru, mass, nk, ridge_v)
-        if fixed_nu is None:
-            half = (nu + p) / 2.0
-            # E ln u = ln u + digamma(half) - ln(half), with ln u = ln((nu + p) / nu) - lp
-            log_u_expect = (math.log((nu + p) / nu) + digamma(half) - math.log(half)) - lp
-            nu = _util.nu_update(r, log_u_expect, u, nu_bounds, np.ones(k, dtype=bool))
-    else:
-        # stopped by max_iter: the last M-step moved the parameters and nu
-        log_r = log_resp(weights, means, covs)[0]
-    return _finish(log_r, weights, means, covs, trace, start, nu=nu)
+    nu = _util.NU_START if fixed_nu is None else float(fixed_nu)
+    return _em(data, k, cfg, ridge, nu=nu, free_nu=fixed_nu is None)

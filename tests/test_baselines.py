@@ -202,6 +202,14 @@ class TestStopRules:
         assert r.iterations == 2 and r.loss_trace.tolist() == [1.0, 1.0]
         assert r.labels.tolist() == [0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit, kmedoids_fit])
+    def test_a_repeated_re_seed_stops_the_fit(self, fit):
+        # two distinct points for three clusters: every sweep re-seeds the empty cluster 1 at row 0,
+        # and the second sweep repeats the first, re-seed included (the labels and centers of all 300)
+        r = fit(Dataset([[0.0], [0.0], [1.0]]), 3)
+        assert r.iterations == 2
+        assert r.labels.tolist() == [2, 1, 0] and r.centers[:, 0].tolist() == [1.0, 0.0, 0.0]
+
 def _exhaustive_best_partition(x, k):
     """Minimal k-means cost partition by enumerating all assignments."""
     n = x.shape[0]

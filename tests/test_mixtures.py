@@ -21,6 +21,21 @@ def _solve_maha_logdet(x, mean, cov):
     return (y * y).sum(axis=0), 2.0 * float(np.log(np.diag(chol)).sum())
 
 
+def _per_component_log_resp(x, model):
+    """Unnormalized log responsibilities under ``model``, one component at a time."""
+    k, p = model.means.shape
+    log_r = np.empty((x.shape[0], k))
+    for j in range(k):
+        maha, logdet = _solve_maha_logdet(x, model.means[j], model.covariances[j])
+        if model.nu is None:
+            log_r[:, j] = math.log(model.weights[j]) - 0.5 * (p * math.log(2.0 * math.pi) + logdet + maha)
+        else:
+            nu = model.nu
+            const = math.lgamma((nu + p) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * p * math.log(nu * math.pi)
+            log_r[:, j] = math.log(model.weights[j]) + const - 0.5 * logdet - 0.5 * (nu + p) * np.log1p(maha / nu)
+    return log_r
+
+
 def _random_spd(rng, k, p):
     a = rng.normal(0, 1, (k, p, p))
     return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(p)
@@ -199,6 +214,32 @@ class TestEStepCount:
         assert len(calls) == result.iterations + (0 if stops_on_tol else 1)
 
 
+class TestLoopPaths:
+    """The EM loop's collapse check, its constrained mode and the scoring of a fit stopped by ``max_iter``."""
+
+    FAR_INIT = BaselineConfig(init=[[0.0, 0.0], [1e4, 1e4]])
+
+    def test_a_massless_component_raises(self):
+        with pytest.raises(NumericalError, match="component 1 collapsed"):
+            gmm_fit(generate_gaussian_blobs(2, 30, 2, seed=0), 2, self.FAR_INIT)
+
+    def test_the_constrained_mode_keeps_a_massless_mean(self):
+        _, model = gmm_fit(generate_gaussian_blobs(2, 30, 2, seed=0), 2, self.FAR_INIT, constrained_alpha=1.0)
+        assert model.means[1].tolist() == [1e4, 1e4]
+
+    @pytest.mark.parametrize("fit, kwargs", [(gmm_fit, {}), (tmm_fit, {}), (tmm_fit, {"fixed_nu": 5.0})])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_a_capped_fit_returns_its_last_parameters(self, fit, kwargs, m):
+        # tol so small that only an exactly repeated log likelihood would stop a fit early
+        d = generate_gaussian_blobs(3, 30, 2, cluster_std=1.2, seed=3)
+        capped, model = fit(d, 3, BaselineConfig(seed=3, max_iter=m, tol=1e-300), **kwargs)
+        longer, _ = fit(d, 3, BaselineConfig(seed=3, max_iter=m + 1, tol=1e-300), **kwargs)
+        assert capped.iterations == m and longer.iterations == m + 1
+        log_r = _per_component_log_resp(d.samples, model)
+        assert float(log_sum_exp(log_r, axis=1).sum()) == pytest.approx(longer.loss_trace[m], rel=1e-12)
+        assert np.array_equal(capped.labels, log_r.argmax(axis=1))
+
+
 def test_default_ridge_underflow_is_named():
     d = generate_gaussian_blobs(3, 20, 2, seed=0)
     tiny = Dataset(d.samples * 1e-170)
@@ -302,16 +343,7 @@ class TestTmm:
         d = generate_gaussian_blobs(3, 30, 2, seed=3)
         result, model = tmm_fit(d, 3, BaselineConfig(seed=3))
         # recompute responsibilities under the final model
-        x = d.samples
-        nu, p, k = model.nu, d.p, 3
-        log_r = np.empty((d.n, k))
-        for j in range(k):
-            maha, logdet = _solve_maha_logdet(x, model.means[j], model.covariances[j])
-            log_r[:, j] = (
-                math.log(model.weights[j])
-                - 0.5 * logdet
-                - 0.5 * (nu + p) * np.log1p(maha / nu)
-            )
+        log_r = _per_component_log_resp(d.samples, model)
         r = np.exp(log_r - log_sum_exp(log_r, axis=1)[:, None])
         assert np.abs(r.sum(axis=1) - 1.0).max() < 1e-9
 

@@ -5,6 +5,9 @@ Run from the root of a checkout::
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
         --workload protocol --workload em-p16 --seed 101 --out BENCH_6.json
 
+``--workload`` may repeat; left out, every workload of the change's
+``BENCHMARK.json`` runs.
+
 Each revision is exported with ``git archive`` into a temporary
 directory, so only committed files take part.  Pair i runs
 ``perfbench/run.py --workload W --seed <seed + i> --seconds S --trace 0``,
@@ -14,8 +17,9 @@ change first in odd ones, so host-speed drift within a pair shows in its
 change/parent ratio rather than in one side's numbers.  The output holds
 ``run_seconds``, the machine record of the first run, each pair's
 end-to-end metrics and ratios, and per metric the median and quartiles of
-each side, of the ratio, and the number of pairs the change won
-(direction from ``BENCHMARK.json``).  Standard library only.
+each side, of the ratio, the number of pairs the change won (direction
+from ``BENCHMARK.json``) and two verdicts (see ``summarize``), which are
+also printed as a table.  Standard library only.
 """
 
 from __future__ import annotations
@@ -57,19 +61,42 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs, better):
+def summarize(pairs, metrics):
+    """Per end-to-end metric of ``BENCHMARK.json`` (``metrics``), the quartiles, the wins and two verdicts.
+
+    ``gain`` holds when the change won at least 9 of 10 pairs and its
+    median beats the parent's by more than the parent's quartile spread.
+    ``within_bound`` is "yes" when the change's median is no worse than the
+    parent's by more than ``bound`` times the parent's median, else "no";
+    it is "unresolved" when the parent's quartile spread exceeds that
+    margin, unless every change run beats every parent run.
+    """
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         rows = [p for p in pairs if name in p["ratio"]]
         if not rows:
             continue
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        parent = [sign * p["parent"][name] for p in rows]  # signed, so larger is better
+        change = [sign * p["change"][name] for p in rows]
+        qp, qc = quartiles(parent), quartiles(change)
+        spread, margin = qp["q3"] - qp["q1"], metric["bound"] * abs(qp["median"])
+        if min(change) > max(parent):
+            within = "yes"
+        elif spread > margin:
+            within = "unresolved"
+        else:
+            within = "yes" if qc["median"] >= qp["median"] - margin else "no"
+        wins = sum(c > a for a, c in zip(parent, change))
         out[name] = {
             "parent": quartiles([p["parent"][name] for p in rows]),
             "change": quartiles([p["change"][name] for p in rows]),
             "ratio": quartiles([p["ratio"][name] for p in rows]),
-            "change_wins": sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in rows),
+            "change_wins": wins,
             "pairs": len(rows),
+            "gain": 10 * wins >= 9 * len(rows) and qc["median"] - qp["median"] > spread,
+            "within_bound": within,
         }
     return out
 
@@ -78,7 +105,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision measured as the base")
     parser.add_argument("--change", required=True, help="git revision measured against it")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="workload seed of pair 0; pair i uses seed + i")
     parser.add_argument("--out", type=Path, required=True)
@@ -93,8 +120,7 @@ def main(argv=None) -> int:
             report[side] = export(getattr(args, side), tree)
         benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         report["run_seconds"] = benchmark["run_seconds"]
-        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-        for workload in args.workload:
+        for workload in args.workload or [w["name"] for w in benchmark["workloads"]]:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -111,7 +137,11 @@ def main(argv=None) -> int:
                                 for name, value in row["parent"].items() if value and name in row["change"]}
                 pairs.append(row)
                 print(f"{workload} pair {i} seed {seed}: job_s_p50 ratio {row['ratio'].get('job_s_p50')}", flush=True)
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            summary = summarize(pairs, benchmark["end_to_end"])
+            report["workloads"][workload] = {"pairs": pairs, "summary": summary}
+            for name, row in summary.items():
+                print(f"{workload} {name}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g} "
+                      f"wins {row['change_wins']}/{row['pairs']} gain {row['gain']} within_bound {row['within_bound']}")
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

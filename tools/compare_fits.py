@@ -2,17 +2,23 @@
 
 Run from the root of a checkout::
 
-    python3 tools/compare_fits.py --parent ../parent-tree --change . --out fits.json
+    python3 tools/compare_fits.py --parent HEAD~1 --change . --out fits.json
 
-The fits are the cells of the ``protocol`` benchmark workload, each
-refitted over ``--seeds`` (default 7000-7039) for every name in
-``harness.ALGORITHMS``:
+``--parent`` and ``--change`` each name a source tree: a directory, or
+else a git revision of this checkout, exported with ``git archive`` into a
+temporary directory (so only committed files take part).  The fits are the
+cells of the ``protocol`` benchmark workload, each refitted over
+``--seeds`` (default 7000-7039) for every name in ``harness.ALGORITHMS``:
 
 * standardized Iris (``data/iris.csv`` of this checkout), K=3;
 * the S1-like blobs ``blobs:k=15,n=100,p=2,std=0.45,box=10,seed=43``, K=15;
 * the ``robust`` blobs ``blobs:k=4,n=75,p=2,std=0.5,box=8,seed=11``,
   contaminated at outlier fractions 0, 0.05 and 0.1 with the fit's seed
-  (box expansion 2, as ``tkmeans robust`` does), K=4.
+  (box expansion 2, as ``tkmeans robust`` does), K=4;
+
+and the cell of the ``em-p16`` workload, ``tkmeans`` alone over the same
+seeds: ``generate_gaussian_blobs(15, 200, 16, seed=0)``, K=15, ``tol=1e-12``
+and ``max_iter=30``.
 
 Each tree's fits run in their own subprocess, with ``PYTHONPATH=DIR/src``,
 through ``harness.run_once``.  Each fit pair is classified, in this order,
@@ -32,8 +38,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+
+from bench_pairs import export
 
 ROOT = Path(__file__).resolve().parent.parent
 S1_LIKE = "blobs:k=15,n=100,p=2,std=0.45,box=10,seed=43"
@@ -51,30 +60,38 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def cells(iris_path: str) -> list[tuple]:
+    """(algorithm, cell, K, outlier fraction or None, base dataset, ``RunSpec`` options) of every refitted cell."""
+    from tkmeans import datasets, harness
+
+    iris = datasets.standardize(datasets.load_csv_labeled(iris_path))[0]
+    robust = harness.parse_generator_spec(ROBUST_DATA)
+    protocol = [("iris", 3, None, iris), ("s1", 15, None, harness.parse_generator_spec(S1_LIKE))]
+    protocol += [(f"robust-{f:g}", robust.n_classes, f, robust) for f in FRACTIONS]
+    out = [(algorithm, *cell, {}) for algorithm in harness.ALGORITHMS for cell in protocol]
+    em_p16 = datasets.generate_gaussian_blobs(15, 200, 16, seed=0)
+    return out + [("tkmeans", "em-p16", 15, None, em_p16, {"tol": 1e-12, "max_iter": 30})]
+
+
 def refit(seeds: list[int], iris_path: str) -> dict:
     """Every fit of the cells over ``seeds`` with the ``tkmeans`` on ``sys.path``; runs in the worker."""
     import tkmeans
     from tkmeans import datasets, harness
 
-    iris = datasets.standardize(datasets.load_csv_labeled(iris_path))[0]
-    robust = harness.parse_generator_spec(ROBUST_DATA)
-    # (name, K, outlier fraction or None for no contamination, base dataset)
-    cells = [("iris", 3, None, iris), ("s1", 15, None, harness.parse_generator_spec(S1_LIKE))]
-    cells += [(f"robust-{f:g}", robust.n_classes, f, robust) for f in FRACTIONS]
     fits = []
-    for algorithm in harness.ALGORITHMS:
-        for cell, k, fraction, base in cells:
-            for seed in seeds:
-                record = {"algorithm": algorithm, "cell": cell, "seed": seed}
-                try:
-                    data = base if fraction is None else datasets.contaminate(
-                        base, datasets.ContaminationSpec(fraction, 2.0, seed=seed))
-                    result, _ = harness.run_once(harness.RunSpec(algorithm, data, k), seed, data=data)
-                    record.update(labels=result.labels.tolist(), centers=result.centers.tolist(),
-                                  loss_trace=result.loss_trace.tolist(), iterations=result.iterations)
-                except Exception as exc:  # noqa: BLE001 - a failed fit is one more outcome to compare
-                    record["error"] = f"{type(exc).__name__}: {exc}"
-                fits.append(record)
+    for algorithm, cell, k, fraction, base, options in cells(iris_path):
+        for seed in seeds:
+            record = {"algorithm": algorithm, "cell": cell, "seed": seed}
+            try:
+                data = base if fraction is None else datasets.contaminate(
+                    base, datasets.ContaminationSpec(fraction, 2.0, seed=seed))
+                spec = harness.RunSpec(algorithm, data, k, **options)
+                result, _ = harness.run_once(spec, seed, data=data)
+                record.update(labels=result.labels.tolist(), centers=result.centers.tolist(),
+                              loss_trace=result.loss_trace.tolist(), iterations=result.iterations)
+            except Exception as exc:  # noqa: BLE001 - a failed fit is one more outcome to compare
+                record["error"] = f"{type(exc).__name__}: {exc}"
+            fits.append(record)
     return {"module": tkmeans.__file__, "fits": fits}
 
 
@@ -93,6 +110,14 @@ def classify(a: dict, b: dict) -> str:
     return "centers within 1e-10" if gap <= CLOSE else "other"
 
 
+def source_tree(name: str, scratch: Path) -> Path:
+    """``name`` as a directory, or else the git revision ``name`` exported into ``scratch``."""
+    if Path(name).is_dir():
+        return Path(name)
+    export(name, scratch)
+    return scratch
+
+
 def run_tree(tree: Path, seeds: str) -> list[dict]:
     """Refit in a subprocess that imports ``tkmeans`` from ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -108,8 +133,8 @@ def run_tree(tree: Path, seeds: str) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, help="source tree measured as the base")
-    parser.add_argument("--change", type=Path, help="source tree compared with it")
+    parser.add_argument("--parent", help="source tree measured as the base: a directory or a git revision")
+    parser.add_argument("--change", help="source tree compared with it: a directory or a git revision")
     parser.add_argument("--seeds", default="7000-7039", help="a range lo-hi or a comma list")
     parser.add_argument("--out", type=Path, help="per-fit JSON output path")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -119,7 +144,9 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    parent, change = run_tree(args.parent, args.seeds), run_tree(args.change, args.seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, change = (run_tree(source_tree(getattr(args, side), Path(tmp) / side), args.seeds)
+                          for side in ("parent", "change"))
     pairs = []
     for a, b in zip(parent, change, strict=True):
         key = {name: a[name] for name in ("algorithm", "cell", "seed")}
