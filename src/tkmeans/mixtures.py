@@ -194,12 +194,10 @@ def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, rid
 def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free_nu=False):
     """The EM loop of ``gmm_fit`` (``nu`` None) and ``tmm_fit``; returns (ClusteringResult, MixtureModel).
 
-    Each iteration traces the log likelihood of the current E-step, stops
-    on ``_util.converged``, runs the M-step and then the E-step of the new
-    parameters, so a fit stopped by ``max_iter`` still labels by its last
-    parameters.  The Gaussian M-step weights every point by its
-    responsibility (``w = r``, ``mass = nk``); the t M-step by ``r * u``,
-    and it moves ``nu`` when ``free_nu``.
+    An iteration traces the log likelihood of the current E-step, stops on
+    ``_util.converged``, then runs the M-step and the next E-step, so the
+    labels come from the last parameters.  The t M-step weights by ``r * u``
+    instead of ``r`` and moves ``nu`` when ``free_nu``.
     """
     cfg = cfg if cfg is not None else BaselineConfig(init="kmeanspp")
     k = _util.check_k(k, data.n)
@@ -265,8 +263,14 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
     return result, model
 
 
-def gmm_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None, *, ridge: float | None = None,
-            constrained_alpha: float | None = None):
+def gmm_fit(
+    data: Dataset,
+    k: int,
+    cfg: BaselineConfig | None = None,
+    *,
+    ridge: float | None = None,
+    constrained_alpha: float | None = None,
+):
     """EM for a Gaussian mixture; returns (ClusteringResult, MixtureModel).
 
     Responsibilities are normalized in log space; each M-step covariance
@@ -281,8 +285,14 @@ def gmm_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None, *, ridge: 
     return _em(data, k, cfg, ridge, constrained_alpha=constrained_alpha)
 
 
-def tmm_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None, *, ridge: float | None = None,
-            fixed_nu: float | None = None):
+def tmm_fit(
+    data: Dataset,
+    k: int,
+    cfg: BaselineConfig | None = None,
+    *,
+    ridge: float | None = None,
+    fixed_nu: float | None = None,
+):
     """EM for a t mixture with full covariances and one shared nu.
 
     The precision weights u = (nu+p)/(nu + maha^2) discount far points in

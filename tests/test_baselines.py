@@ -204,8 +204,8 @@ class TestStopRules:
 
     @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit, kmedoids_fit])
     def test_a_repeated_re_seed_stops_the_fit(self, fit):
-        # two distinct points for three clusters: every sweep re-seeds the empty cluster 1 at row 0,
-        # and the second sweep repeats the first, re-seed included (the labels and centers of all 300)
+        # two distinct points for three clusters: every sweep re-seeds the empty cluster 1 at row 0, and the
+        # second sweep repeats the first, re-seed included; 300 sweeps end at the same labels and centers
         r = fit(Dataset([[0.0], [0.0], [1.0]]), 3)
         assert r.iterations == 2
         assert r.labels.tolist() == [2, 1, 0] and r.centers[:, 0].tolist() == [1.0, 0.0, 0.0]
