@@ -22,20 +22,23 @@ def check_k(k: int, n: int) -> int:
 
 
 def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The C-ordered (p+1, N) distance block of ``points`` and the mean ``m`` it is centered at.
+    """The C-ordered (p+2, N) distance block of ``points`` and the mean ``m`` it is centered at.
 
-    Rows 0..p-1 hold ``(points - m)^T`` and row p holds ``|points - m|^2``,
-    the N(p+1) floats of a shifted copy and its row norms.  A caller that
-    measures many sets of centers against the same points builds it once
-    and passes it to ``pairwise_sq_dists``.  An overflow here leaves a
-    non-finite entry, which the distances built on the block then report.
+    Rows 0..p-1 hold ``(points - m)^T``, row p holds ``|points - m|^2`` and
+    row p+1 holds ones.  A caller that measures many sets of centers
+    against the same points builds it once and passes column blocks of it
+    to ``pairwise_sq_dists``; the product of weights with a column block's
+    transpose gives their weighted sums of ``points - m``, of ``|points -
+    m|^2`` and of 1 in one GEMM.  An overflow here leaves a non-finite
+    entry, which the distances built on the block then report.
     """
     n, p = points.shape
-    block = np.empty((p + 1, n))
+    block = np.empty((p + 2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = points.mean(axis=0)
         np.subtract(points, mean, out=block[:p].T)
         np.einsum("pn,pn->n", block[:p], block[:p], out=block[p])
+    block[p + 1] = 1.0
     return block, mean
 
 
@@ -51,14 +54,15 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=Non
     mask of the result is built.
 
     ``hard_assignment_loop`` calls ``pairwise_sq_dists(x, centers)``.
-    ``core.fit`` calls ``pairwise_sq_dists(centers, x, block=...)`` with
-    ``block`` the ``distance_block`` of the second argument, built once
-    per fit and used in its place: the distances are then one GEMM of
-    the (K, p+1) operand ``[-2(c-m) | 1]`` with the block, plus
-    ``|c-m|^2`` per row.  ``out``, when given, receives the result.  The
-    ``(K, N)`` result is C-ordered, so its ``.T`` is a column-major
-    ``(N, K)`` view.  The block form sums in another order than the plain
-    one, so the two agree to rounding, not bit for bit.
+    ``core`` calls ``pairwise_sq_dists(centers, points, block=(rows, m),
+    out=...)`` once per block of points, with ``rows`` the columns of the
+    ``distance_block`` of the whole data that belong to ``points``, and
+    ``m`` the data mean it was centered at, used in place of ``points``.
+    The (K, B) distances are then one GEMM of the (K, p+2) operand
+    ``[-2(c-m) | 1 | |c-m|^2]`` with ``rows``, the norms included.
+    ``out``, when given, receives the result.  The block form sums in
+    another order than the plain one, so the two agree to rounding, not
+    bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if block is None:
@@ -72,13 +76,13 @@ def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=Non
         else:
             rows, shift = block
             k, p = x.shape
-            operand = np.empty((k, p + 1))
-            operand[:, p] = 1.0
+            operand = np.empty((k, p + 2))
             xs = np.subtract(x, shift, out=operand[:, :p])
-            norms = np.einsum("kp,kp->k", xs, xs)
+            # the data's norm row meets a 1 and the ones row meets the center's norm
+            operand[:, p] = 1.0
+            np.einsum("kp,kp->k", xs, xs, out=operand[:, p + 1])
             xs *= -2.0
             d2 = np.matmul(operand, rows, out=out)
-            d2 += norms[:, None]
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2.max()):
         raise NumericalError("squared distances overflow float64; rescale the data")
@@ -110,23 +114,27 @@ def log_u_offset(nu: float, p: int) -> float:
     return math.log((nu + p) / nu) + digamma(half) - math.log(half)
 
 
-def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray,
-              scratch=None) -> float:
-    """Closed-form degrees-of-freedom update shared by the t-model fits.
+def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
+    """Closed-form degrees-of-freedom update shared by the t-model fits, from per-component sums.
 
-    ``eta = 1 + mean_j sum_i tau_ij (E ln u_ij - u_ij) / sum_i tau_ij``
-    over the ``healthy`` components, and ``nu = -1/eta`` clamped to
+    ``tau_diff[j] = sum_i tau_ij (E ln u_ij - u_ij)`` and ``tau_mass[j] =
+    sum_i tau_ij``.  ``eta = 1 + mean_j tau_diff[j] / tau_mass[j]`` over
+    the ``healthy`` components, and ``nu = -1/eta`` clamped to
     ``nu_bounds``; a non-negative eta would give a non-positive nu and
-    clamps to the upper bound.  ``scratch``, an array of ``tau``'s shape and
-    layout, holds the (N, K) product when given.
+    clamps to the upper bound.
     """
-    tau_mass = tau.sum(axis=0)
-    diff = np.subtract(log_u_expect, u, out=scratch)
-    per_comp = np.multiply(tau, diff, out=diff).sum(axis=0)
-    terms = per_comp[healthy] / tau_mass[healthy]
+    terms = tau_diff[healthy] / tau_mass[healthy]
     eta = 1.0 + float(terms.mean())
     lo, hi = nu_bounds
     return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
+
+
+def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
+    """``nu_from_sums`` of the (N, K) responsibilities ``tau``, ``E ln u`` and ``u``."""
+    tau_mass = tau.sum(axis=0)
+    diff = np.subtract(log_u_expect, u)
+    per_comp = np.multiply(tau, diff, out=diff).sum(axis=0)
+    return nu_from_sums(per_comp, tau_mass, nu_bounds, healthy)
 
 
 def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

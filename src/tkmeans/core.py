@@ -7,22 +7,27 @@ responsibility ``tau``, the latent precision weight ``u`` that discounts
 far points, and the posterior expectation of ``ln u`` needed by the ``nu``
 update.  The M-step moves every center to its tau*u-weighted mean over
 *all* samples, re-estimates ``alpha`` against the new centers, and updates
-``nu`` through a closed-form approximation.  Each iteration of ``fit``
-computes one (N, K) squared-distance matrix, to the new centers, and that
-one matrix serves the ``alpha`` update, the iteration's negative log
-likelihood and the next E-step.  The iteration is component-major: that
-matrix, and every (N, K) matrix derived from it, is a view of C-ordered
-(K, N) memory, so the reductions over K run along contiguous rows, and
-one ``exp`` pass per E-step gives both the log likelihood and ``tau``.
-The distances come from a (p+1, N) block of the data, centered at their
-mean and stacked over their squared norms (``_util.distance_block``), so
-one distance matrix is one GEMM with the (K, p+1) centers operand plus a
-per-row add.  Those matrices and the block live in one workspace that
-``fit`` allocates once and every iteration overwrites, so an iteration
-allocates no (N, K) or (N, p) array; the public ``e_step``,
-``m_step``, ``log_l2_loss`` and ``negative_log_likelihood`` build the
-same block per call and run the same steps into fresh arrays.  A distance or scaled distance that
-overflows float64 raises ``NumericalError``.
+``nu`` through a closed-form approximation.
+
+``fit`` runs one pass over the data per EM iteration, in blocks of
+``_BLOCK`` points (data of up to that many points run as one block).  A
+block takes its (K, B) squared distances from one GEMM of the centers
+with its columns of a (p+2, N) block of the data (centered at their mean,
+over their squared norms and a row of ones, ``_util.distance_block``),
+runs the E-step in (K, B) buffers that every block reuses, adds its
+share of the negative log likelihood, and adds to the M-step's
+sufficient statistics (Neal & Hinton's view of EM): ``sum w (x-m)``,
+``sum w |x-m|^2`` and the mass ``sum w`` from one more GEMM of the
+weights ``w = tau*u`` with the same rows, ``sum tau`` and, when ``nu`` is
+free, ``sum tau E ln u``.  The M-step reads the centers, ``alpha`` and
+``nu`` off those sums, so a pass scores one model and gathers the next
+one's update, and I iterations take I+1 passes.  A fit allocates no (N,
+K) array: at 50,000 x 2, K=50 its buffers hold 5 MB.  The public
+``e_step``, ``m_step``, ``log_l2_loss`` and ``negative_log_likelihood``
+run the same block functions with the whole data as one block, into
+fresh (K, N) arrays returned as (N, K) views.  A distance or scaled
+distance that overflows float64, or a sum of the M-step that does,
+raises ``NumericalError``.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It
@@ -150,149 +155,136 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
     return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """The buffers of one fit's EM iteration, allocated once and reused by every iteration.
+# Points per block of an EM pass.  Each of the pass's three (K, B) buffers holds B*K
+# floats, about 2**16 (512 KB) at K=16, and data of up to B points run as one block.
+_BLOCK = 4096
 
-    ``d2`` (squared distances), ``lp`` (``log1p(d2/(nu*alpha))``, then
-    ``E ln u``), ``logt`` (ln t, then ``tau``), ``u`` (``d2/(nu*alpha)``,
-    then ``u``) and ``w`` (the tau*u weights, then scratch for the ``nu``
-    update) are (N, K) views of C-ordered (K, N) memory; ``block`` is the
-    data's ``_util.distance_block``, the (p+1, N) block and the mean it is
-    centered at, built once here since the data do not change during a
-    fit.  A field left at ``None``, as in ``_FRESH``, makes its step
-    allocate a new array (or build a new block), as the public
-    ``e_step``/``m_step`` need.
+
+def _blocks(n: int):
+    """(start, stop) of each block of ``_BLOCK`` points, the constant read at call time."""
+    return ((start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _view(buf: np.ndarray, k: int, b: int) -> np.ndarray:
+    """The first K*b floats of a flat buffer as a C-ordered (K, b) matrix."""
+    return buf[: k * b].reshape(k, b)
+
+
+def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
+    """``1 + s``, ``s = d2/(nu*alpha)``, its log and ln t for one block of points, each (K, B), in the given buffers.
+
+    ``rows`` are the block's columns of the data's ``_util.distance_block``,
+    centered at ``mean``.  ``d2`` receives the squared distances and then,
+    in place, ``1 + s``, with ``s`` the product of ``d2`` and ``1/(nu*alpha)``;
+    ``lp`` receives ``ln(1 + s)`` and ``logt`` ln t less its distance-free
+    part, ``_util.log_t_const``, which ``_nll`` adds to the row
+    log-sum-exps instead (it cancels in ``tau``).  Raises
+    ``NumericalError`` when a distance or ``s`` overflows.
     """
-
-    d2: np.ndarray | None = None
-    lp: np.ndarray | None = None
-    logt: np.ndarray | None = None
-    u: np.ndarray | None = None
-    w: np.ndarray | None = None
-    block: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def allocate(cls, x: np.ndarray, k: int) -> _Workspace:
-        def matrix():
-            return np.empty((k, x.shape[0])).T
-
-        return cls(matrix(), matrix(), matrix(), matrix(), matrix(), _util.distance_block(x))
-
-
-_FRESH = _Workspace()
-
-
-def _sq_dists_to(data: Dataset, centers: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
-    """(N, K) squared distances as a view of C-ordered (K, N) memory, into ``ws.d2`` when it is there.
-
-    One GEMM of the centers with the data's distance block: the block of
-    ``ws``, or one built here when ``ws`` has none, so both paths run the
-    same operations.
-    """
-    if data.p != centers.shape[1]:
-        raise DomainError(f"data has p={data.p} but centers have p={centers.shape[1]}")
-    block = _util.distance_block(data.samples) if ws.block is None else ws.block
-    out = None if ws.d2 is None else ws.d2.T
-    return _util.pairwise_sq_dists(centers, data.samples, block=block, out=out).T
-
-
-def _divide(d2: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``d2 / scale``; raises ``NumericalError`` where a quotient overflows float64."""
+    d2 = _util.pairwise_sq_dists(model.centers, points, block=(rows, mean), out=d2)
     try:
-        with np.errstate(over="raise"):
-            return np.divide(d2, scale, out=out)
+        with np.errstate(over="raise", divide="raise"):
+            np.multiply(d2, np.float64(1.0) / (np.float64(model.nu) * model.alpha), out=d2)
     except FloatingPointError:
         raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
+    one_s = np.add(d2, 1.0, out=d2)
+    lp = np.log(one_s, out=lp)
+    return one_s, lp, np.multiply(lp, -0.5 * (model.nu + model.p), out=logt)
 
 
-def _log1p_scaled(d2: np.ndarray, model: TkModel, out: np.ndarray | None = None) -> np.ndarray:
-    lp = _divide(d2, model.nu * model.alpha, out=out)
-    return np.log1p(lp, out=lp)
+def _e_block(points, rows, mean, model: TkModel, d2, lp, logt, total=None):
+    """E-step of one block; returns its row log-sum-exps, ``tau`` (B, K), ``u`` and ``ln(1 + s)`` (K, B).
 
-
-def _log_t_matrix(lp: np.ndarray, model: TkModel, out: np.ndarray | None = None) -> np.ndarray:
-    """ln t of every pair from ``lp = log1p(d2 / (nu*alpha))``, in the layout of ``lp``."""
-    logt = np.multiply(lp, -0.5 * (model.nu + model.p), out=out)
-    logt += _util.log_t_const(model.p, model.alpha, model.nu)
-    return logt
-
-
-def _e_step(d2: np.ndarray, model: TkModel, ws: _Workspace = _FRESH) -> tuple[EStepResult, np.ndarray]:
-    """E-step from the (N, K) squared distances; also returns the row log-sum-exp of ln t.
-
-    Component-major: ``d2`` comes from ``_sq_dists_to`` as a view of (K, N)
-    memory, and every (N, K) matrix made here keeps that layout, so the
-    reductions over K here and in the M-step run along contiguous rows.
-    One ``exp`` pass gives both the row log-sum-exps and ``tau``, normalized
-    in place.  The scaled distances ``s = d2/(nu*alpha)`` serve both ln t
-    and ``u = ((nu+p)/nu) / (1 + s)``, and ``E ln u`` reuses the ``log1p``
-    of ln t: ``ln u = ln((nu+p)/nu) - log1p(s)``.  The three matrices are
-    written into ``ws.lp``, ``ws.logt`` and ``ws.u`` when they are there.
-    Raises ``NumericalError`` when ``s`` overflows.
+    One ``exp`` pass gives both the row log-sum-exps and ``tau``,
+    normalized in place in ``logt``.  ``u = ((nu+p)/nu) / (1 + s)``
+    overwrites ``1 + s`` in ``d2``, and ``E ln u = log_u_offset - ln(1 +
+    s)`` reuses the log of ln t.  ``total`` receives the rows' sums of
+    exponentials, whose reciprocals are the rows' largest ``tau``.
     """
-    p, nu, alpha = model.p, model.nu, model.alpha
-    scaled = _divide(d2, nu * alpha, out=ws.u)
-    lp = np.log1p(scaled, out=ws.lp)
-    logt = _log_t_matrix(lp, model, out=ws.logt)
-    # in place: every (N, K) temporary is one more live matrix at the peak
-    lse, tau = _log_normalize(logt, out=logt)
-    u = np.add(scaled, 1.0, out=scaled)
-    np.divide((nu + p) / nu, u, out=u)
-    log_u_expect = np.subtract(_util.log_u_offset(nu, p), lp, out=lp)
-    return EStepResult(tau, u, log_u_expect), lse
+    one_s, lp, logt = _log_t_block(points, rows, mean, model, d2, lp, logt)
+    lse, tau = _log_normalize(logt.T, out=logt.T, total=total)
+    u = np.divide((model.nu + model.p) / model.nu, one_s, out=one_s)
+    return lse, tau, u, lp
+
+
+def _add_sums(sums: np.ndarray, tau: np.ndarray, w: np.ndarray, rows: np.ndarray, log_u=None) -> None:
+    """Add one block's M-step sums to the (K, p+4) ``sums``.
+
+    ``tau``, the weights ``w = tau*u`` and ``log_u`` (``E ln u``, given
+    when ``nu`` is free) are (K, B).  Columns 0..p+1 gain ``w`` times the
+    transposed rows, one GEMM: ``sum w (x-m)``, ``sum w |x-m|^2`` and the
+    mass ``sum w``.  Column p+2 gains ``sum tau``, ``tau`` times the ones
+    row, and column p+3 ``sum tau E ln u``.  An overflow leaves a
+    non-finite sum for the M-step to report.
+    """
+    p = rows.shape[0] - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums[:, : p + 2] += w @ rows.T
+    sums[:, p + 2] += tau @ rows[p + 1]
+    if log_u is not None:
+        sums[:, p + 3] += np.einsum("kb,kb->k", tau, log_u)
+
+
+def _m_step_from_sums(sums: np.ndarray, mean, model: TkModel, cfg: FitConfig, points, max_tau) -> TkModel:
+    """The M-step from a model's ``_add_sums`` over all points, centered at their ``mean``.
+
+    With ``S1``, ``S2``, ``mass`` the first sums of component j, its center
+    moves to ``mean + S1/mass``, and ``S2 - |S1|^2/mass`` is its w-weighted
+    sum of squared distances to that center, so ``alpha`` needs no second
+    distance pass.  That subtraction cancels when a component sits far
+    from ``mean`` relative to its spread; its absolute error is then about
+    eps * sum w (|x-m|^2 + |c-m|^2), the sum of the distance kernel's own
+    errors, and a negative result is clamped to 0.  A component whose mass
+    vanished is re-seeded to a point in the stable order of lowest largest
+    responsibility, ``max_tau()``, called only then.  ``sum tau (E ln u -
+    u)`` for the ``nu`` update is ``sum tau E ln u - mass``.  Raises
+    ``NumericalError`` when a sum, a center or ``alpha`` overflows.
+    """
+    p = model.p
+    s1, s2, mass, tau_mass, tau_log_u = sums[:, :p], sums[:, p], sums[:, p + 1], sums[:, p + 2], sums[:, p + 3]
+    healthy = mass > 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        offsets = s1 / mass[:, None]
+        within = s2 - np.einsum("kp,kp->k", offsets, s1)
+        centers = mean + offsets
+        if not healthy.all():
+            worst = np.argsort(max_tau(), kind="stable")
+            centers[~healthy] = points[worst[: np.count_nonzero(~healthy)]]
+            within[~healthy] = 0.0
+        alpha = float(np.maximum(within, 0.0).sum() / (p * tau_mass.sum()))
+    if not (np.isfinite(centers).all() and math.isfinite(alpha)):
+        raise NumericalError("the M-step's weighted sums overflow float64; rescale the data")
+    alpha = max(alpha, cfg.alpha_floor)
+    if cfg.fixed_nu is not None:
+        nu = model.nu
+    else:
+        nu = _util.nu_from_sums(tau_log_u - mass, tau_mass, cfg.nu_bounds, healthy)
+    return TkModel(centers, alpha, nu)
+
+
+def _whole(data: Dataset, model: TkModel):
+    """The points, their distance block and its mean, as one block for the public one-call steps."""
+    if data.p != model.p:
+        raise DomainError(f"data has p={data.p} but centers have p={model.p}")
+    rows, mean = _util.distance_block(data.samples)
+    return data.samples, rows, mean
+
+
+def _matrices(model: TkModel, n: int):
+    return [np.empty((model.k, n)) for _ in range(3)]
 
 
 def e_step(data: Dataset, model: TkModel) -> EStepResult:
     """Responsibilities, precision weights, and E(ln u) for every pair.
 
     tau is normalized in log space (the equal mixing weights cancel), so
-    far points cannot underflow a whole row.
+    far points cannot underflow a whole row.  The (N, K) results are views
+    of C-ordered (K, N) memory: the whole data as one block of a pass.
     """
-    return _e_step(_sq_dists_to(data, model.centers), model)[0]
-
-
-def _m_step(
-    data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig, ws: _Workspace = _FRESH
-) -> tuple[TkModel, np.ndarray]:
-    """M-step; also returns the (N, K) squared distances to the new centers, in ``ws.d2`` when it is there.
-
-    The weights ``w`` go into ``ws.w``, which then holds the product of
-    the ``nu`` update; ``alpha`` takes one dot product of ``w`` with the
-    new distances.
-    """
-    x = data.samples
-    k, p = model.k, model.p
-    if e.tau.shape != (data.n, k):
-        raise DomainError(f"E-step result shape {e.tau.shape} does not match (N, K)=({data.n}, {k})")
-    w = np.multiply(e.tau, e.u, out=ws.w)
-    mass = w.sum(axis=0)
-    healthy = mass > 0.0
-
-    centers = np.empty((k, p), dtype=np.float64)
-    if healthy.all():
-        centers = (w.T @ x) / mass[:, None]
-    else:
-        worst = np.argsort(e.tau.max(axis=1), kind="stable")
-        used = 0
-        for j in range(k):
-            if healthy[j]:
-                centers[j] = (w[:, j] @ x) / mass[j]
-            else:
-                centers[j] = x[worst[used]]
-                used += 1
-
-    d2_new = _sq_dists_to(data, centers, ws)
-    tau_total = float(e.tau.sum())
-    # one dot product of the (K, N) memory, with no (N, K) product
-    alpha = float(np.vdot(w.T, d2_new.T) / (p * tau_total))
-    alpha = max(alpha, cfg.alpha_floor)
-
-    if cfg.fixed_nu is not None:
-        nu = model.nu
-    else:
-        nu = _util.nu_update(e.tau, e.log_u_expect, e.u, cfg.nu_bounds, healthy, scratch=w)
-    return TkModel(centers, alpha, nu), d2_new
+    x, rows, mean = _whole(data, model)
+    _, tau, u, lp = _e_block(x, rows, mean, model, *_matrices(model, data.n))
+    log_u_expect = np.subtract(_util.log_u_offset(model.nu, model.p), lp, out=lp)
+    return EStepResult(tau, u.T, log_u_expect.T)
 
 
 def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkModel:
@@ -304,8 +296,16 @@ def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkM
     floored; ``nu`` stays fixed when requested, otherwise it follows the
     closed-form approximation, clamped to ``nu_bounds`` (a non-negative
     eta would produce a non-positive nu and clamps to the upper bound).
+    The sums are those of a pass with the whole data as one block.
     """
-    return _m_step(data, e, model, cfg)[0]
+    k, p = model.k, model.p
+    if e.tau.shape != (data.n, k):
+        raise DomainError(f"E-step result shape {e.tau.shape} does not match (N, K)=({data.n}, {k})")
+    x, rows, mean = _whole(data, model)
+    tau = e.tau.T
+    sums = np.zeros((k, p + 4))
+    _add_sums(sums, tau, np.multiply(tau, e.u.T), rows, e.log_u_expect.T if cfg.fixed_nu is None else None)
+    return _m_step_from_sums(sums, mean, model, cfg, x, lambda: e.tau.max(axis=1))
 
 
 def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
@@ -316,17 +316,18 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     what blunts the influence of outliers.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    d2 = _sq_dists_to(data, model.centers)
-    if tau.shape != d2.shape:
-        raise DomainError(f"tau shape {tau.shape} does not match (N, K)={d2.shape}")
+    if tau.shape != (data.n, model.k):
+        raise DomainError(f"tau shape {tau.shape} does not match (N, K)=({data.n}, {model.k})")
     rows = tau.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6):
         raise DomainError("tau rows must sum to 1")
-    return float((tau * _log1p_scaled(d2, model)).sum())
+    _, lp, _ = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
+    return float((tau * lp.T).sum())
 
 
-def _nll(lse: np.ndarray, k: int) -> float:
-    return float(-(lse - math.log(k)).sum())
+def _nll(lse: np.ndarray, model: TkModel) -> float:
+    """The negative log likelihood from the row log-sum-exps of ``_log_t_block``'s ``logt``."""
+    return float(-(lse - (math.log(model.k) - _util.log_t_const(model.p, model.alpha, model.nu))).sum())
 
 
 def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
@@ -337,45 +338,78 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     raw weighted log-distance sum of :func:`log_l2_loss` is not once the
     shared scale is re-estimated each step.
     """
-    lp = _log1p_scaled(_sq_dists_to(data, model.centers), model)
-    return _nll(log_sum_exp(_log_t_matrix(lp, model), axis=1), model.k)
+    _, _, logt = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
+    return _nll(log_sum_exp(logt.T, axis=1), model)
 
 
-def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, ws: _Workspace = _FRESH) -> TkModel:
+def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None, scratch=None) -> TkModel:
     """The seeded centers, ``alpha`` from their nearest-center distances, and ``nu0``.
 
-    The distances to the initial centers are left in ``ws.d2`` when it is
-    there, for the first E-step.
+    The distances come block by block, into ``scratch`` (a flat buffer of
+    at least K*B floats) when given, from ``block``, the data's distance
+    block and mean, or from one built here.
     """
-    rng = np.random.default_rng(cfg.seed)
-    centers, _ = _util.init_centers(data.samples, k, rng, cfg.init)
-    d2 = _sq_dists_to(data, centers, ws)
-    alpha0 = float(d2.min(axis=1).mean()) / data.p
+    x, n = data.samples, data.n
+    centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
+    rows, mean = _util.distance_block(x) if block is None else block
+    scratch = np.empty(k * min(n, _BLOCK)) if scratch is None else scratch
+    total = 0.0
+    for start, stop in _blocks(n):
+        d2 = _util.pairwise_sq_dists(centers, x[start:stop], block=(rows[:, start:stop], mean),
+                                     out=_view(scratch, k, stop - start))
+        with np.errstate(over="ignore"):
+            total += float(d2.min(axis=0).sum())
+    alpha0 = total / n / data.p
+    if not math.isfinite(alpha0):
+        raise NumericalError("squared distances to the initial centers overflow float64; rescale the data")
     return TkModel(centers, max(alpha0, cfg.alpha_floor), nu0)
 
 
-def _run_em(data: Dataset, model: TkModel, ws: _Workspace, cfg: FitConfig, budget: int, trace: list[float]):
-    """Iterate M- and E-steps until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
+def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False, labels=None) -> float:
+    """Score ``model`` over the data block by block; returns its negative log likelihood.
 
-    ``ws.d2`` holds the squared distances to ``model``'s centers.  Each
-    iteration computes one distance matrix, to the new centers, into
-    ``ws.d2``, and it serves ``alpha``, the NLL and the next E-step.
-    Every (N, K) matrix of the iteration lives in ``ws``, so an iteration
-    allocates only vectors and (K, p) arrays.  Returns the last model,
-    whose distances ``ws.d2`` then holds, and its argmax-responsibility
-    labels.
+    Every block reuses the three flat ``bufs`` (at least K*B floats each)
+    as its (K, B) matrices, and ``totals`` (N,) receives the rows' sums of
+    exponentials.  With ``sums``, the E-step's M-step sums are added to
+    it, ``sum tau E ln u`` only when ``free_nu``; with ``labels``, the
+    argmax responsibilities are written into it.
     """
-    e, _ = _e_step(ws.d2, model, ws)
+    k = model.k
+    loss = 0.0
+    for start, stop in _blocks(x.shape[0]):
+        rows_b = rows[:, start:stop]
+        d2, lp, logt = (_view(buf, k, stop - start) for buf in bufs)
+        lse, tau, u, lp = _e_block(x[start:stop], rows_b, mean, model, d2, lp, logt, totals[start:stop, None])
+        loss += _nll(lse, model)
+        if sums is not None:
+            log_u = np.subtract(_util.log_u_offset(model.nu, model.p), lp, out=lp) if free_nu else None
+            _add_sums(sums, tau.T, np.multiply(tau.T, u, out=u), rows_b, log_u)
+        if labels is not None:
+            labels[start:stop] = tau.argmax(axis=1)
+    return loss
+
+
+def _run_em(x, rows, mean, model: TkModel, cfg: FitConfig, budget: int, trace: list[float], bufs, totals):
+    """Iterate M-steps and passes until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
+
+    A first pass scores ``model`` and gathers its M-step sums; each
+    iteration then runs the M-step from the sums and one pass of the new
+    model, which gives its NLL and the next sums, so I iterations take I+1
+    passes.  Returns the last model; the last pass's buffers hold its E-step.
+    """
+    free_nu = cfg.fixed_nu is None
+    sums = np.zeros((model.k, model.p + 4))
+    _pass(x, rows, mean, model, bufs, totals, sums, free_nu)
     prev_loss = None
     for _ in range(budget):
-        model, d2 = _m_step(data, e, model, cfg, ws)
-        e, lse = _e_step(d2, model, ws)
-        loss = _nll(lse, model.k)
+        model = _m_step_from_sums(sums, mean, model, cfg, x, lambda: 1.0 / totals)
+        sums.fill(0.0)
+        loss = _pass(x, rows, mean, model, bufs, totals, sums, free_nu)
         trace.append(loss)
         if _util.converged(loss, prev_loss, cfg.tol):
             break
         prev_loss = loss
-    return model, e.tau.argmax(axis=1)
+    return model
 
 
 def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult:
@@ -396,23 +430,41 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     so a budget spent in the warm stage returns ``nu = nu_bounds[1]``.
     The trace carries the observed-data negative log likelihood of each
     iteration's model, which is non-increasing while ``nu`` is fixed.
-    Hard labels are the argmax responsibilities under the final model.
+    Hard labels are the argmax responsibilities under the final model:
+    from the last pass when one block covers the data, else from one more.
     Deterministic for a fixed seed.
     """
     cfg = cfg or FitConfig()
     k = _util.check_k(k, data.n)
 
     start = time.perf_counter()
+    x, n = data.samples, data.n
     nu0 = cfg.nu_bounds[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
-    ws = _Workspace.allocate(data.samples, k)
-    model = _initial_model(data, k, cfg, nu0, ws)
-    model, labels = _run_em(data, model, ws, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace)
+    rows, mean = block = _util.distance_block(x)
+    bufs = [np.empty(k * min(n, _BLOCK)) for _ in range(3)]
+    totals = np.empty(n)
+    model = _initial_model(data, k, cfg, nu0, block, bufs[0])
+    model = _run_em(x, rows, mean, model, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace, bufs, totals)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
         model = TkModel(model.centers, model.alpha, _util.NU_START)
-        model, labels = _run_em(data, model, ws, cfg, cfg.max_iter - len(trace), trace)
+        model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
+    if n <= _BLOCK:
+        labels = _view(bufs[2], k, n).T.argmax(axis=1)
+    else:
+        labels = np.empty(n, dtype=np.intp)
+        _pass(x, rows, mean, model, bufs, totals, labels=labels)
     wall = time.perf_counter() - start
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)
+
+
+def _divide(d2: np.ndarray, scale: float) -> np.ndarray:
+    """``d2 / scale``; raises ``NumericalError`` where a quotient overflows float64."""
+    try:
+        with np.errstate(over="raise"):
+            return np.divide(d2, scale)
+    except FloatingPointError:
+        raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
 
 
 def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult:

@@ -10,9 +10,9 @@ import bench_pairs  # noqa: E402
 import compare_fits  # noqa: E402
 
 
-def record(labels=(0, 1), centers=((0.0,), (1.0,)), loss_trace=(2.0, 1.0), iterations=2):
+def record(labels=(0, 1), centers=((0.0,), (1.0,)), loss_trace=(2.0, 1.0), iterations=2, scale=1.0):
     return {"labels": list(labels), "centers": [list(c) for c in centers],
-            "loss_trace": list(loss_trace), "iterations": iterations}
+            "loss_trace": list(loss_trace), "iterations": iterations, "scale": scale}
 
 
 @pytest.mark.parametrize(
@@ -31,6 +31,39 @@ def record(labels=(0, 1), centers=((0.0,), (1.0,)), loss_trace=(2.0, 1.0), itera
 )
 def test_classify(change, expected):
     assert compare_fits.classify(record(), change) == expected
+
+
+def test_the_centers_class_is_relative_to_the_data_scale():
+    assert compare_fits.classify(record(scale=100.0), record(centers=((0.0,), (1.0 + 1e-9,)), scale=100.0)) \
+        == "centers within 1e-10"
+    assert compare_fits.classify(record(scale=1e-3), record(centers=((0.0,), (1.0 + 1e-12,)), scale=1e-3)) == "other"
+
+
+def test_labels_that_differ_between_coincident_components():
+    # components 1 and 2 meet in the parent (gap 2e-11 at scale 1); component 0 is far from both
+    centers = ((0.0, 0.0), (5.0, 5.0), (5.0, 5.0 + 2e-11))
+    parent = record(labels=(0, 1, 2, 2), centers=centers, loss_trace=(3.0, 2.0))
+    swapped = record(labels=(0, 2, 1, 2), centers=centers, loss_trace=(3.0, 2.0 + 1e-15))
+    assert compare_fits.classify(parent, swapped) == "coincident components"
+    # a point that moves between distinct components is a real label change
+    assert compare_fits.classify(parent, record(labels=(1, 1, 2, 2), centers=centers)) == "labels differ"
+    # so is a swap that comes with another iteration count or a moved single component
+    assert compare_fits.classify(parent, record(labels=(0, 2, 1, 2), centers=centers, iterations=3)) \
+        == "labels differ"
+    moved = ((0.0, 1e-9), *centers[1:])
+    assert compare_fits.classify(parent, record(labels=(0, 2, 1, 2), centers=moved)) == "labels differ"
+
+
+def test_coincident_components_may_move_apart_but_not_together():
+    # a group of three: components 1 and 2 are 1e-8 apart, 2 and 3 another 5e-8 (linked, 6e-8 end to end)
+    centers = ((0.0, 0.0), (5.0, 5.0), (5.0, 5.0 + 1e-8), (5.0, 5.0 + 6e-8))
+    parent = record(labels=(0, 1, 2, 3), centers=centers)
+    apart = ((0.0, 0.0), (5.0, 5.0 - 3e-8), (5.0, 5.0 + 1e-8), (5.0, 5.0 + 9e-8))
+    assert compare_fits.classify(parent, record(labels=(0, 1, 2, 3), centers=apart)) == "coincident components"
+    together = ((0.0, 0.0), (5.0, 5.0 + 3e-8), (5.0, 5.0 + 4e-8), (5.0, 5.0 + 9e-8))
+    assert compare_fits.classify(parent, record(labels=(0, 1, 2, 3), centers=together)) == "other"
+    far = ((0.0, 0.0), (5.0, 5.0 - 3e-7), (5.0, 5.0 + 1e-8), (5.0, 5.0 + 3.6e-7))
+    assert compare_fits.classify(parent, record(labels=(0, 1, 2, 3), centers=far)) == "other"
 
 
 def test_matching_failures_are_identical():

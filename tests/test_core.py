@@ -123,38 +123,37 @@ class TestEStep:
         from tkmeans import core
 
         seen = []
-        inner = core._e_step
+        inner = core._e_block
 
-        def recording(d2, model, *workspace):
-            e, lse = inner(d2, model, *workspace)
-            seen.append((d2, e))
-            return e, lse
+        def recording(*args, **kwargs):
+            lse, tau, u, lp = inner(*args, **kwargs)
+            seen.append((tau, u, lp))
+            return lse, tau, u, lp
 
-        monkeypatch.setattr(core, "_e_step", recording)
+        monkeypatch.setattr(core, "_e_block", recording)
         d = generate_gaussian_blobs(4, 50, 3, seed=2)
         fit(d, 4, FitConfig(seed=0, max_iter=6))
         assert len(seen) > 2
-        for d2, e in seen:
-            for m in (d2, e.tau, e.u, e.log_u_expect):
-                assert m.shape == (d.n, 4) and m.T.flags.c_contiguous
+        for tau, u, lp in seen:
+            for m in (tau.T, u, lp):
+                assert m.shape == (4, d.n) and m.flags.c_contiguous
+        e = e_step(d, TkModel(d.samples[:4], 1.0, 3.0))
+        for m in (e.tau, e.u, e.log_u_expect):
+            assert m.shape == (d.n, 4) and m.T.flags.c_contiguous
 
     def test_e_step_holds_no_extra_matrix(self):
-        # log1p, tau (normalized in place) and u: three (N, K) matrices beside the distances
-        import tracemalloc
-
-        from tkmeans import core
-
-        n, k = 20_000, 10
-        d = generate_gaussian_blobs(k, n // k, 2, seed=3)
+        # tau (normalized in place), u and E ln u, plus the (p+2, N) block of the data and a few (N,) vectors;
+        # a fourth (K, N) matrix would add K rows
+        n, k, p = 20_000, 10, 2
+        d = generate_gaussian_blobs(k, n // k, p, seed=3)
         model = TkModel(d.samples[:k], 1.0, 3.0)
-        d2 = core._sq_dists_to(d, model.centers)
         tracemalloc.start()
         try:
-            core._e_step(d2, model)
+            e_step(d, model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * n * k * 8
+        assert peak < (3 * k + (p + 2) + 6) * n * 8
 
 
 def _estep_result(tau, u, log_u_expect=None):
@@ -224,6 +223,24 @@ class TestMStep:
         e = _estep_result(tau, np.ones((3, 2)))
         m = m_step(d, e, TkModel([[0.0], [5.0]], 1.0, 3.0), FitConfig(fixed_nu=3.0))
         assert m.centers[1, 0] in (0.0, 1.0, 10.0)
+
+
+    def test_overflowing_sums_raise_a_typed_error(self):
+        # every distance is finite, but the weighted sums of |x - m|^2 over 100 points are not
+        import warnings
+
+        from tkmeans.errors import NumericalError
+
+        rng = np.random.default_rng(0)
+        x = np.vstack([-3e153 + 1e152 * rng.standard_normal((50, 2)), 3e153 + 1e152 * rng.standard_normal((50, 2))])
+        d = Dataset(x)
+        model = TkModel(x[[0, 50]], 1e306, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="M-step's weighted sums overflow"):
+                m_step(d, e_step(d, model), model, FitConfig(fixed_nu=3.0))
+            with pytest.raises(NumericalError, match="initial centers overflow"):
+                fit(d, 2, FitConfig(seed=0, fixed_nu=3.0))
 
 
 class TestLogL2Loss:
@@ -393,17 +410,17 @@ class TestFit:
             assert np.array_equal(r.labels, e_step(d, model).tau.argmax(axis=1))
             assert r.model.alpha == model.alpha and r.model.nu == model.nu != nu_hi
 
-    def test_results_alias_no_workspace_buffer(self, monkeypatch):
+    def test_results_alias_no_pass_buffer(self, monkeypatch):
         from tkmeans import core
 
-        made = []
-        allocate = core._Workspace.allocate
+        buffers = []
+        inner = core._pass
 
-        def recording(x, k):
-            made.append(allocate(x, k))
-            return made[-1]
+        def recording(x, rows, mean, model, bufs, totals, *args, **kwargs):
+            buffers.extend([*bufs, totals, rows])
+            return inner(x, rows, mean, model, bufs, totals, *args, **kwargs)
 
-        monkeypatch.setattr(core._Workspace, "allocate", staticmethod(recording))
+        monkeypatch.setattr(core, "_pass", recording)
         d = generate_gaussian_blobs(3, 40, 2, seed=4)
 
         def arrays(r):
@@ -412,18 +429,16 @@ class TestFit:
         first = fit(d, 3, FitConfig(seed=0))
         kept = [a.copy() for a in arrays(first)]
         second = fit(d, 3, FitConfig(seed=1))
-        assert len(made) == 2
-        # the block field holds the (p+1, N) block and the data mean
-        buffers = [b for ws in made for f in vars(ws).values() for b in (f if isinstance(f, tuple) else (f,))]
-        assert all(b is not None for b in buffers)
+        assert buffers
         for r in (first, second):
             for a in arrays(r):
                 assert not any(np.shares_memory(a, b) for b in buffers)
         assert all(np.array_equal(a, b) for a, b in zip(arrays(first), kept))
 
     def test_peak_memory_of_a_fit_at_em_shape(self):
-        # 3000 x 16, K=15.  Allocating each (N, K) matrix and the shifted data anew in every
-        # iteration peaked at 3.01-3.05 MB here; the workspace peaks at 2.62-2.66 MB.
+        # 3000 x 16, K=15, one block.  Allocating each (N, K) matrix and the shifted data anew in every
+        # iteration peaked at 3.01-3.05 MB here, five (N, K) matrices held per fit at 2.62-2.66 MB,
+        # and the pass's three (K, B) buffers peak at 1.93 MB.
         d = generate_gaussian_blobs(15, 200, 16, seed=0)
         tracemalloc.start()
         try:
@@ -434,25 +449,76 @@ class TestFit:
         assert peak < 3.0e6
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
-        # one for the initial alpha and the first E-step, one per iteration, all on one block into one buffer
-        from tkmeans import _util
+        # one for the initial alpha, one for each stage's first pass and one per iteration, all into one buffer
+        from tkmeans import _util, core
 
-        calls = []
-        kernel = _util.pairwise_sq_dists
+        calls, stages = [], []
+        kernel, run_em = _util.pairwise_sq_dists, core._run_em
 
         def counting(x, centers, **buffers):
             calls.append(buffers)
             return kernel(x, centers, **buffers)
 
+        def staging(*args):
+            stages.append(args)
+            return run_em(*args)
+
         monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(core, "_run_em", staging)
         d = generate_gaussian_blobs(3, 30, 2, seed=1)
-        for cfg in (FitConfig(seed=1, fixed_nu=3.0), FitConfig(seed=1), FitConfig(seed=2, max_iter=4)):
+        for cfg, n_stages in ((FitConfig(seed=1, fixed_nu=3.0), 1), (FitConfig(seed=1), 2), (FitConfig(seed=2, max_iter=4), 1)):
             calls.clear()
+            stages.clear()
             r = fit(d, 3, cfg)
-            assert len(calls) == r.iterations + 1
-            first = calls[0]
-            assert first["block"] is not None and first["out"] is not None
-            assert all(c["block"] is first["block"] and c["out"].base is first["out"].base for c in calls)
+            assert len(stages) == n_stages
+            assert len(calls) == 1 + n_stages + r.iterations
+            first = calls[0]["out"]
+            assert all(c["block"][0].shape == (4, d.n) and np.shares_memory(c["out"], first) for c in calls)
+            assert all(c["out"].shape == (3, d.n) and c["out"].flags.c_contiguous for c in calls)
+
+    @pytest.mark.parametrize("fixed_nu", [3.0, None], ids=["fixed_nu", "free_nu"])
+    def test_block_seams_keep_the_one_block_fit(self, monkeypatch, fixed_nu):
+        # blocks of 7 points cut the 120 points into 18 blocks, the last one short, and take the labels from one more pass
+        from tkmeans import core
+
+        cfg = FitConfig(seed=4, init="kmeanspp", fixed_nu=fixed_nu, max_iter=60)
+        d = generate_gaussian_blobs(4, 30, 3, cluster_std=1.2, seed=8)
+        whole = fit(d, 4, cfg)
+        monkeypatch.setattr(core, "_BLOCK", 7)
+        blocked = fit(d, 4, cfg)
+        assert blocked.iterations == whole.iterations
+        assert np.array_equal(blocked.labels, whole.labels)
+        assert np.abs(blocked.centers - whole.centers).max() < 1e-10
+        assert blocked.model.alpha == pytest.approx(whole.model.alpha, rel=1e-10)
+        assert blocked.model.nu == pytest.approx(whole.model.nu, rel=1e-10)
+
+    def test_peak_memory_of_a_fit_holds_no_n_by_k_matrix(self):
+        # 50,000 x 2, K=50: one (N, K) matrix is 20 MB; five of them and the block peaked near 120 MB
+        d = generate_gaussian_blobs(50, 1000, 2, seed=0)
+        tracemalloc.start()
+        try:
+            fit(d, 50, FitConfig(seed=0, fixed_nu=3.0, max_iter=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_alpha_of_tight_clusters_far_from_the_mean(self):
+        # S2 - |S1|^2/mass cancels here; its error stays within the distance kernel's eps * (|x-m|^2 + |c-m|^2)
+        rng = np.random.default_rng(5)
+        x = np.vstack([rng.normal(0, 1, (40, 2)), 1e6 + rng.normal(0, 1, (40, 2))])
+        d = Dataset(x)
+        model = TkModel([[0.0, 0.0], [1e6, 1e6]], 2.0, 3.0)
+        e = e_step(d, model)
+        new = m_step(d, e, model, FitConfig(fixed_nu=3.0))
+        w = e.tau * e.u
+        diff = x[:, None, :] - new.centers[None, :, :]
+        direct = float((w * (diff * diff).sum(axis=2)).sum() / (2 * e.tau.sum()))
+        m = x.mean(axis=0)
+        scale = ((x - m) ** 2).sum(axis=1)[:, None] + ((new.centers - m) ** 2).sum(axis=1)[None, :]
+        contract = 1e-12 * float((w * scale).sum() / (2 * e.tau.sum()))
+        assert 0.5 < direct < 2.0
+        assert abs(new.alpha - direct) <= contract
 
     def test_distance_block_is_built_once_per_fit(self, monkeypatch):
         from tkmeans import _util
@@ -481,25 +547,22 @@ class TestDistanceBlock:
         offset=st.floats(-1e6, 1e6),
         seed=st.integers(0, 2**32 - 1),
         centers_from_x=st.booleans(),
+        cut=st.floats(0.0, 1.0),
     )
-    def test_block_distances(self, n, k, p, offset, seed, centers_from_x):
-        from tkmeans import core
+    def test_block_distances(self, n, k, p, offset, seed, centers_from_x, cut):
+        from tkmeans import _util
 
         rng = np.random.default_rng(seed)
         x = offset + rng.normal(0, 3, (n, p))
         # rows of x give coincident points, where the clamp at 0 matters
         centers = x[rng.integers(0, n, k)] if centers_from_x else offset + rng.normal(0, 3, (k, p))
-        d = Dataset(x)
-        ws = core._Workspace.allocate(d.samples, k)
-        for field in ("d2", "lp", "logt", "u", "w"):
-            getattr(ws, field).fill(np.nan)
-        got = core._sq_dists_to(d, centers, ws)
-        assert np.shares_memory(got, ws.d2) and got.shape == (n, k) and got.T.flags.c_contiguous
-        assert np.array_equal(got, core._sq_dists_to(d, centers))
-        assert (got >= 0.0).all()
-        m = x.mean(axis=0)
-        scale = ((x - m) ** 2).sum(axis=1)[:, None] + ((centers - m) ** 2).sum(axis=1)[None, :]
-        diff = x[:, None, :] - centers[None, :, :]
+        rows, m = _util.distance_block(x)
+        start = int(cut * (n - 1))
+        out = np.full(k * n, np.nan)[: k * (n - start)].reshape(k, n - start)
+        got = _util.pairwise_sq_dists(centers, x[start:], block=(rows[:, start:], m), out=out)
+        assert got is out and (got >= 0.0).all()
+        scale = ((x[start:] - m) ** 2).sum(axis=1)[None, :] + ((centers - m) ** 2).sum(axis=1)[:, None]
+        diff = centers[:, None, :] - x[None, start:, :]
         assert (np.abs(got - (diff * diff).sum(axis=2)) <= 1e-12 * scale).all()
 
     def test_block_is_the_centered_data_over_their_squared_norms(self):
@@ -507,10 +570,11 @@ class TestDistanceBlock:
 
         x = np.random.default_rng(3).normal(5.0, 2.0, (50, 3))
         block, mean = _util.distance_block(x)
-        assert block.shape == (4, 50) and block.flags.c_contiguous
+        assert block.shape == (5, 50) and block.flags.c_contiguous
         assert np.array_equal(mean, x.mean(axis=0))
         assert np.array_equal(block[:3], (x - mean).T)
         assert np.allclose(block[3], ((x - mean) ** 2).sum(axis=1), rtol=1e-15, atol=0)
+        assert (block[4] == 1.0).all()
 
 
 class TestFitFast:

@@ -107,6 +107,25 @@ def test_non_finite_fit_settings_are_rejected_up_front(field, build, value):
     with pytest.raises(DomainError, match=f"^{field} must be finite"):
         build(value)
 
+def _points(distinct, duplicates, p, offset, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    points = offset + 10.0**log_scale * rng.standard_normal((distinct, p))
+    return Dataset(np.vstack([points, points[rng.integers(0, distinct, duplicates)]]))
+
+
+def _assert_finite_or_a_typed_error(spec, data, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = harness._dispatch(spec, data, seed % 1000)
+            mse = clustering_mse(data, result.centers, result.labels)
+        except TkmeansError:
+            return
+    assert result.labels.shape == (data.n,) and result.centers.shape == (spec.k, data.p)
+    assert np.isfinite(result.centers).all() and np.isfinite(result.loss_trace).all()
+    assert np.isfinite(mse)
+
+
 class TestEveryAlgorithm:
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(
@@ -123,21 +142,31 @@ class TestEveryAlgorithm:
     def test_result_is_finite_or_a_typed_error(
         self, algorithm, distinct, duplicates, p, k_is_n, k_share, log_scale, offset, seed
     ):
-        rng = np.random.default_rng(seed)
-        points = offset + 10.0**log_scale * rng.standard_normal((distinct, p))
-        data = Dataset(np.vstack([points, points[rng.integers(0, distinct, duplicates)]]))
+        data = _points(distinct, duplicates, p, offset, log_scale, seed)
         k = data.n if k_is_n else 1 + int(k_share * (data.n - 1))
-        spec = RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                result = harness._dispatch(spec, data, seed % 1000)
-                mse = clustering_mse(data, result.centers, result.labels)
-            except TkmeansError:
-                return
-        assert result.labels.shape == (data.n,) and result.centers.shape == (k, p)
-        assert np.isfinite(result.centers).all() and np.isfinite(result.loss_trace).all()
-        assert np.isfinite(mse)
+        _assert_finite_or_a_typed_error(RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50), data, seed)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        init=st.sampled_from(("random", "kmeanspp")),
+        nu=st.sampled_from((None, 1.0, 3.0)),
+        distinct=st.integers(1, 12),
+        duplicates=st.integers(0, 12),
+        p=st.integers(1, 4),
+        k_is_n=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-150.0, 150.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tkmeans_out_to_the_float64_limits(
+        self, init, nu, distinct, duplicates, p, k_is_n, k_share, log_scale, offset, seed
+    ):
+        # squared distances and their sums reach 1e+-300 and beyond; the offset is in units of the spread
+        data = _points(distinct, duplicates, p, offset * 10.0**log_scale, log_scale, seed)
+        k = data.n if k_is_n else 1 + int(k_share * (data.n - 1))
+        spec = RunSpec(algorithm="tkmeans", data=data, k=k, max_iter=50, init=init, nu=nu)
+        _assert_finite_or_a_typed_error(spec, data, seed)
 
 
 class TestRunBench:
