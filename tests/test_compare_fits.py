@@ -66,6 +66,20 @@ def test_coincident_components_may_move_apart_but_not_together():
     assert compare_fits.classify(parent, record(labels=(0, 1, 2, 3), centers=far)) == "other"
 
 
+def test_an_entry_keeps_the_moved_labels_and_the_centers_of_a_changed_fit():
+    centers = ((0.0, 0.0), (5.0, 5.0), (5.0, 5.0 + 2e-11))
+    parent = record(labels=(0, 1, 2, 2), centers=centers, loss_trace=(3.0, 2.0))
+    swapped = record(labels=(0, 2, 1, 2), centers=centers, loss_trace=(3.0, 2.0 + 1e-15))
+    key = {"algorithm": "tkmeans", "cell": "s1", "seed": 7}
+    out = compare_fits.entry({**parent, **key}, {**swapped, **key})
+    assert out == {**key, "class": "coincident components", "gap": 0.0, "scale": 1.0, "iterations": [2, 2],
+                   "moved": [[1, 1, 2], [2, 2, 1]], "centers": [parent["centers"], swapped["centers"]]}
+    same = compare_fits.entry({**parent, **key}, {**parent, **key})
+    assert same["class"] == "bit-identical" and same["moved"] == [] and "centers" not in same
+    failed = compare_fits.entry({"error": "NumericalError: overflow", **key}, {**parent, **key})
+    assert failed == {**key, "class": "other", "errors": ["NumericalError: overflow", None]}
+
+
 def test_matching_failures_are_identical():
     failed = {"error": "NumericalError: overflow"}
     assert compare_fits.classify(failed, dict(failed)) == "bit-identical"

@@ -492,6 +492,26 @@ class TestFit:
         assert blocked.model.alpha == pytest.approx(whole.model.alpha, rel=1e-10)
         assert blocked.model.nu == pytest.approx(whole.model.nu, rel=1e-10)
 
+    @pytest.mark.parametrize("block", [4096, 7])
+    def test_a_massless_component_is_reseeded_as_in_the_public_loop(self, monkeypatch, block):
+        # at nu=200 the far center's tau underflows to 0 everywhere; the fit orders the points by 1/row sum
+        from tkmeans import core
+
+        x = np.random.default_rng(6).normal(0, 1, (40, 2))
+        d = Dataset(x)
+        cfg = FitConfig(init=np.array([[-1.0, 0.0], [1.0, 0.0], [1e4, 1e4]]), fixed_nu=200.0, max_iter=1)
+        model = _initial_model(d, 3, cfg, 200.0)
+        e = e_step(d, model)
+        assert (e.tau[:, 2] == 0.0).all()
+        worst = np.argsort(e.tau.max(axis=1), kind="stable")[0]
+        assert e.tau[worst].max() < 0.6 < e.tau.max(axis=1).mean()
+        hand = m_step(d, e, model, cfg)
+        assert np.array_equal(hand.centers[2], x[worst])
+        monkeypatch.setattr(core, "_BLOCK", block)
+        r = fit(d, 3, cfg)
+        assert np.array_equal(r.centers[2], hand.centers[2])
+        assert np.abs(r.centers[:2] - hand.centers[:2]).max() < 1e-12
+
     def test_peak_memory_of_a_fit_holds_no_n_by_k_matrix(self):
         # 50,000 x 2, K=50: one (N, K) matrix is 20 MB; five of them and the block peaked near 120 MB
         d = generate_gaussian_blobs(50, 1000, 2, seed=0)

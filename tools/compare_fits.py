@@ -37,8 +37,8 @@ the members apart along the direction that separates them.  Within a
 group the labels may differ and the centers may move by up to 1e-7 x
 scale, as long as the group's mean center stays within 1e-10 x scale; a
 single component keeps the 1e-10 x scale bound.  The per-class counts and
-each cell's largest raw center gap go to stdout, and every fit pair, with
-its class and gap, to ``--out``.  Standard library only in this process.
+each cell's largest raw center gap go to stdout, and every fit pair to
+``--out`` (see ``entry``).  Standard library only in this process.
 """
 
 from __future__ import annotations
@@ -159,6 +159,25 @@ def classify(a: dict, b: dict) -> str:
     return "other" if same_iterations else "iterations differ"
 
 
+def entry(a: dict, b: dict) -> dict:
+    """One fit pair as ``--out`` writes it.
+
+    Its key, class and either both errors or: the largest center gap, the
+    data scale, both iteration counts and each point whose label differs
+    as ``[index, parent label, change label]``, plus both fits' centers
+    unless the pair is bit-identical or its centers are within 1e-10.
+    """
+    out = {name: a[name] for name in ("algorithm", "cell", "seed")}
+    out["class"] = classify(a, b)
+    if "error" in a or "error" in b:
+        return {**out, "errors": [a.get("error"), b.get("error")]}
+    out.update(gap=center_gap(a, b), scale=a["scale"], iterations=[a["iterations"], b["iterations"]],
+               moved=[[i, u, v] for i, (u, v) in enumerate(zip(a["labels"], b["labels"])) if u != v])
+    if out["class"] not in ("bit-identical", "centers within 1e-10"):
+        out["centers"] = [a["centers"], b["centers"]]
+    return out
+
+
 def source_tree(name: str, scratch: Path) -> Path:
     """``name`` as a directory, or else the git revision ``name`` exported into ``scratch``."""
     if Path(name).is_dir():
@@ -196,14 +215,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = (run_tree(source_tree(getattr(args, side), Path(tmp) / side), args.seeds)
                           for side in ("parent", "change"))
-    pairs, gaps = [], {}
-    for a, b in zip(parent, change, strict=True):
-        key = {name: a[name] for name in ("algorithm", "cell", "seed")}
-        gap = None if "error" in a or "error" in b else center_gap(a, b)
-        pairs.append({**key, "class": classify(a, b), "gap": gap, "parent": a, "change": b})
-        if gap is not None:
-            cell = (a["algorithm"], a["cell"])
-            gaps[cell] = max(gaps.get(cell, 0.0), gap)
+    pairs = [entry(a, b) for a, b in zip(parent, change, strict=True)]
+    gaps = {}
+    for pair in pairs:
+        if "gap" in pair:
+            cell = (pair["algorithm"], pair["cell"])
+            gaps[cell] = max(gaps.get(cell, 0.0), pair["gap"])
     counts = Counter(p["class"] for p in pairs)
     for name in CLASSES:
         print(f"{name}: {counts[name]}")
