@@ -171,7 +171,7 @@ def _view(buf: np.ndarray, k: int, b: int) -> np.ndarray:
 
 
 def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
-    """``1 + s``, ``s = d2/(nu*alpha)``, its log and ln t for one block of points, each (K, B), in the given buffers.
+    """``1 + s`` with ``s = d2/(nu*alpha)``, its log and ln t for one block of points, each (K, B).
 
     ``rows`` are the block's columns of the data's ``_util.distance_block``,
     centered at ``mean``.  ``d2`` receives the squared distances and then,

@@ -36,7 +36,8 @@ def test_classify(change, expected):
 def test_the_centers_class_is_relative_to_the_data_scale():
     assert compare_fits.classify(record(scale=100.0), record(centers=((0.0,), (1.0 + 1e-9,)), scale=100.0)) \
         == "centers within 1e-10"
-    assert compare_fits.classify(record(scale=1e-3), record(centers=((0.0,), (1.0 + 1e-12,)), scale=1e-3)) == "other"
+    small = record(centers=((0.0,), (1.0 + 1e-12,)), scale=1e-3)
+    assert compare_fits.classify(record(scale=1e-3), small) == "other"
 
 
 def test_labels_that_differ_between_coincident_components():

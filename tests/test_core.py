@@ -232,7 +232,8 @@ class TestMStep:
         from tkmeans.errors import NumericalError
 
         rng = np.random.default_rng(0)
-        x = np.vstack([-3e153 + 1e152 * rng.standard_normal((50, 2)), 3e153 + 1e152 * rng.standard_normal((50, 2))])
+        spread = 1e152 * rng.standard_normal((100, 2))
+        x = np.vstack([spread[:50] - 3e153, spread[50:] + 3e153])
         d = Dataset(x)
         model = TkModel(x[[0, 50]], 1e306, 3.0)
         with warnings.catch_warnings():
@@ -466,7 +467,8 @@ class TestFit:
         monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
         monkeypatch.setattr(core, "_run_em", staging)
         d = generate_gaussian_blobs(3, 30, 2, seed=1)
-        for cfg, n_stages in ((FitConfig(seed=1, fixed_nu=3.0), 1), (FitConfig(seed=1), 2), (FitConfig(seed=2, max_iter=4), 1)):
+        cases = ((FitConfig(seed=1, fixed_nu=3.0), 1), (FitConfig(seed=1), 2), (FitConfig(seed=2, max_iter=4), 1))
+        for cfg, n_stages in cases:
             calls.clear()
             stages.clear()
             r = fit(d, 3, cfg)
@@ -478,7 +480,7 @@ class TestFit:
 
     @pytest.mark.parametrize("fixed_nu", [3.0, None], ids=["fixed_nu", "free_nu"])
     def test_block_seams_keep_the_one_block_fit(self, monkeypatch, fixed_nu):
-        # blocks of 7 points cut the 120 points into 18 blocks, the last one short, and take the labels from one more pass
+        # blocks of 7 cut the 120 points into 18 blocks, the last one short, and the labels take one more pass
         from tkmeans import core
 
         cfg = FitConfig(seed=4, init="kmeanspp", fixed_nu=fixed_nu, max_iter=60)
