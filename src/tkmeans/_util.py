@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -12,8 +13,16 @@ from .specialfn import digamma, log_gamma
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int when it is a Python or numpy integer; anything else raises ``DomainError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_k(k: int, n: int) -> int:
-    k = int(k)
+    k = as_int("K", k)
     if k < 1:
         raise DomainError(f"K must be >= 1, got {k}")
     if k > n:
@@ -42,51 +51,42 @@ def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block, mean
 
 
-def pairwise_sq_dists(x: np.ndarray, centers: np.ndarray, *, block=None, out=None) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(x), len(centers)), in GEMM form.
+# (centers, points) stay the two positional arguments: perfbench's tracer reads both shapes for temp_mb.
+def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=None) -> np.ndarray:
+    """Squared Euclidean distances of ``centers`` to ``points``, shape (K, B), as one GEMM.
 
-    With ``m`` the mean of ``centers``, ``d2 = |x-m|^2 - 2 (x-m)(c-m)^T +
-    |c-m|^2``: one matrix product, no (N, K, p) temporary.  The shift by
-    ``m`` keeps the cancellation error near eps * (|x-m|^2 + |c-m|^2)
-    however far the data sit from the origin; the result is clamped at 0.
-    Raises ``NumericalError`` when a distance overflows (or is NaN), tested
-    on the maximum: after the clamp a NaN or +inf shows there, and no
-    mask of the result is built.
-
-    ``hard_assignment_loop`` calls ``pairwise_sq_dists(x, centers)``.
-    ``core`` calls ``pairwise_sq_dists(centers, points, block=(rows, m),
-    out=...)`` once per block of points, with ``rows`` the columns of the
-    ``distance_block`` of the whole data that belong to ``points``, and
-    ``m`` the data mean it was centered at, used in place of ``points``.
-    The (K, B) distances are then one GEMM of the (K, p+2) operand
-    ``[-2(c-m) | 1 | |c-m|^2]`` with ``rows``, the norms included.
-    ``out``, when given, receives the result.  The block form sums in
-    another order than the plain one, so the two agree to rounding, not
-    bit for bit.
+    ``block = (rows, m)``: ``rows`` are the columns of the data's
+    ``distance_block`` that belong to ``points`` (not read itself), centered
+    at ``m``.  ``|x-m|^2 - 2 (c-m)(x-m)^T + |c-m|^2`` is the product of the
+    (K, p+2) operand ``[-2(c-m) | 1 | |c-m|^2]`` with ``rows``: no (N, K, p)
+    temporary, and a cancellation error near eps * (|x-m|^2 + |c-m|^2)
+    however far the data sit from the origin.  The result, into ``out``
+    when given, is clamped at 0.  Raises ``NumericalError`` when a distance
+    overflows (or is NaN), tested on the maximum, where a NaN or +inf shows
+    after the clamp, so no mask of the result is built.
     """
+    rows, shift = block
+    k, p = centers.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if block is None:
-            shift = centers.mean(axis=0)
-            cs = centers - shift
-            xs = x - shift
-            # each norm vector is freed once added, so none is live beside the result
-            d2 = np.matmul(xs, -2.0 * cs.T, out=out)
-            d2 += np.einsum("np,np->n", xs, xs)[:, None]
-            d2 += np.einsum("kp,kp->k", cs, cs)
-        else:
-            rows, shift = block
-            k, p = x.shape
-            operand = np.empty((k, p + 2))
-            xs = np.subtract(x, shift, out=operand[:, :p])
-            # the data's norm row meets a 1 and the ones row meets the center's norm
-            operand[:, p] = 1.0
-            np.einsum("kp,kp->k", xs, xs, out=operand[:, p + 1])
-            xs *= -2.0
-            d2 = np.matmul(operand, rows, out=out)
+        operand = np.empty((k, p + 2))
+        cs = np.subtract(centers, shift, out=operand[:, :p])
+        # the data's norm row meets a 1 and the ones row meets the center's norm
+        operand[:, p] = 1.0
+        np.einsum("kp,kp->k", cs, cs, out=operand[:, p + 1])
+        cs *= -2.0
+        d2 = np.matmul(operand, rows, out=out)
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2.max()):
         raise NumericalError("squared distances overflow float64; rescale the data")
     return d2
+
+
+def dists_to(points: np.ndarray, metric: str = "sq"):
+    """The (N, K) distances of ``points`` to given centers; "sq" calls the kernel over one distance block."""
+    if metric == "l1":
+        return lambda centers: pairwise_l1_dists(points, centers)
+    block = distance_block(points)
+    return lambda centers: pairwise_sq_dists(centers, points, block=block).T
 
 
 def converged(loss: float, prev: float | None, tol: float) -> bool:
@@ -95,7 +95,7 @@ def converged(loss: float, prev: float | None, tol: float) -> bool:
 
 
 NU_START = 3.0  # where a free-nu EM starts
-NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_update in tmm_fit, and FitConfig.nu_bounds' default
+NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_from_sums in tmm_fit, and FitConfig.nu_bounds' default
 
 
 def log_t_const(p: int, alpha: float, nu: float) -> float:
@@ -127,14 +127,6 @@ def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, nu_bounds, healthy:
     eta = 1.0 + float(terms.mean())
     lo, hi = nu_bounds
     return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
-
-
-def nu_update(tau: np.ndarray, log_u_expect: np.ndarray, u: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
-    """``nu_from_sums`` of the (N, K) responsibilities ``tau``, ``E ln u`` and ``u``."""
-    tau_mass = tau.sum(axis=0)
-    diff = np.subtract(log_u_expect, u)
-    per_comp = np.multiply(tau, diff, out=diff).sum(axis=0)
-    return nu_from_sums(per_comp, tau_mass, nu_bounds, healthy)
 
 
 def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -269,16 +261,17 @@ def reseed_empty_clusters(x, assign, centers, dist_assigned, k, metric="sq"):
 def hard_assignment_loop(x, centers, k, max_iter, dists, update, metric="sq", loss=None):
     """The sweeps of k-means, k-medians, k-medoids and ``core.fit_fast``; returns (labels, centers, trace).
 
-    A sweep assigns each point to its nearest center under ``dists``, re-seeds
-    empty clusters under ``metric``, traces the assigned distances' sum (or
-    ``loss``) and calls ``update(assign, dist, moved, repeated, centers)``,
-    ``repeated`` meaning the previous sweep's assignment and re-seeds.  The
-    update returns the next centers, kept either way, and whether to stop.
+    A sweep assigns each point to its nearest center under ``dists(centers)``
+    (the fit's ``dists_to(x, metric)``), re-seeds empty clusters under
+    ``metric``, traces the assigned distances' sum (or ``loss``) and calls
+    ``update(assign, dist, moved, repeated, centers)``, ``repeated`` meaning
+    the previous sweep's assignment and re-seeds.  The update returns the
+    next centers, kept either way, and whether to stop.
     """
     trace: list[float] = []
     prev = prev_moved = None
     for _ in range(max_iter):
-        d = dists(x, centers)
+        d = dists(centers)
         assign = d.argmin(axis=1)
         dist = d[np.arange(x.shape[0]), assign]
         assign, centers, dist, moved = reseed_empty_clusters(x, assign, centers, dist, k, metric)

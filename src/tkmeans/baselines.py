@@ -6,9 +6,10 @@ from its assigned center.  k-means and k-means++ work in squared
 Euclidean distance; k-medoids and k-medians work in Manhattan (L1)
 distance, with the alternating Voronoi update rather than full PAM swaps.
 These fits and ``core.fit_fast`` share one sweep loop,
-``_util.hard_assignment_loop``.  k-means and k-medians stop when the
-assignment repeats, before updating; k-medoids when the medoid indices
-repeat; ``fit_fast`` when the largest center shift falls below ``tol``.
+``_util.hard_assignment_loop``, over one distance block of the data per
+fit for squared distances.  k-means and k-medians stop when the assignment
+repeats, before updating; k-medoids when the medoid indices repeat;
+``fit_fast`` when the largest center shift falls below ``tol``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ class BaselineConfig:
     init: object = "random"  # "random" | "kmeanspp" | explicit (K, p) array
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if _util.as_int("max_iter", self.max_iter) < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if _util.as_int("seed", self.seed) < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tol < np.inf:
             raise DomainError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -56,14 +59,15 @@ def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:
     return data.samples[idx].copy()
 
 
-def _loop(x, centers, k, cfg, dists, update, metric) -> ClusteringResult:
-    """Run the shared hard-assignment loop from ``centers``; the wall time covers the loop alone."""
+def _loop(x, centers, k, cfg, update, metric) -> ClusteringResult:
+    """Run the shared hard-assignment loop from ``centers`` under ``metric``; the wall time covers the loop alone."""
     start = time.perf_counter()
+    dists = _util.dists_to(x, metric)
     labels, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update, metric)
     return ClusteringResult(labels, centers, np.asarray(trace), len(trace), time.perf_counter() - start)
 
 
-def _alternate(data, k, cfg, dists, metric, next_centers) -> ClusteringResult:
+def _alternate(data, k, cfg, metric, next_centers) -> ClusteringResult:
     """Seed, then alternate assignment and ``next_centers(x, assign, k)``, stopping on a repeated assignment."""
     cfg = cfg or BaselineConfig()
     k = _util.check_k(k, data.n)
@@ -73,7 +77,7 @@ def _alternate(data, k, cfg, dists, metric, next_centers) -> ClusteringResult:
     def update(assign, dist, moved, repeated, centers):
         return (centers if repeated else next_centers(x, assign, k)), repeated
 
-    return _loop(x, centers, k, cfg, dists, update, metric)
+    return _loop(x, centers, k, cfg, update, metric)
 
 
 def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> ClusteringResult:
@@ -83,7 +87,7 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
     trace records the sum of squared distances to the assigned centers at
     each assignment step and is exactly non-increasing.
     """
-    return _alternate(data, k, cfg, _util.pairwise_sq_dists, "sq", _util.cluster_means)
+    return _alternate(data, k, cfg, "sq", _util.cluster_means)
 
 
 # entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block up to 1448 members
@@ -145,7 +149,7 @@ def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
         idx[:] = new_idx
         return x[idx], stop
 
-    return _loop(x, x[idx], k, cfg, _util.pairwise_l1_dists, update, "l1")
+    return _loop(x, x[idx], k, cfg, update, "l1")
 
 
 def _medians(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -159,4 +163,4 @@ def kmedians_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
     An even-sized cluster takes the midpoint of the two middle values.
     Stops when the assignment repeats.
     """
-    return _alternate(data, k, cfg, _util.pairwise_l1_dists, "l1", _medians)
+    return _alternate(data, k, cfg, "l1", _medians)

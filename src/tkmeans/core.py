@@ -128,8 +128,8 @@ class FitConfig(BaselineConfig):
         if not 0 < self.fast_alpha < math.inf:
             raise DomainError(f"fast_alpha must be finite and > 0, got {self.fast_alpha}")
         lo, hi = self.nu_bounds
-        if not (1.0 <= lo <= hi):
-            raise DomainError(f"nu_bounds must satisfy 1 <= lo <= hi, got {self.nu_bounds}")
+        if not (1.0 <= lo <= hi < math.inf):
+            raise DomainError(f"nu_bounds must satisfy 1 <= lo <= hi < inf, got {self.nu_bounds}")
 
 
 def log_t_density(x, center, alpha: float, nu: float) -> float:
@@ -475,7 +475,8 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
     mean of their members, and neither alpha nor nu is re-estimated.  The
     sweeps are ``_util.hard_assignment_loop``'s, so empty clusters re-seed
     as in k-means.  Stops when the largest center shift falls below ``tol``,
-    keeping the moved centers; the labels are the nearest final centers.
+    keeping the moved centers; the labels are the nearest final centers,
+    from the sweeps' distance block.
     """
     cfg = cfg or FitConfig()
     k = _util.check_k(k, data.n)
@@ -485,6 +486,7 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
 
     start = time.perf_counter()
     centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
+    dists = _util.dists_to(x)
 
     def update(assign, dist, moved, repeated, centers):
         weights = 1.0 / (c + dist)
@@ -496,9 +498,9 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         return new_centers, shift < cfg.tol
 
-    _, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, _util.pairwise_sq_dists, update,
+    _, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update,
                                                    loss=lambda d: np.log1p(_divide(d, c)).sum())
-    labels = _util.pairwise_sq_dists(x, centers).argmin(axis=1)
+    labels = dists(centers).argmin(axis=1)
     wall = time.perf_counter() - start
     model = TkModel(centers, cfg.fast_alpha, nu)
     return ClusteringResult(labels, centers.copy(), np.asarray(trace), len(trace), wall, model=model)

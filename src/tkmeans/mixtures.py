@@ -79,7 +79,7 @@ def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
     log-determinants.  With ``L_j`` the Cholesky factor of component j and
     ``W_j`` its inverse, the distance is ``|W_j (x - mu_j)|^2``; all K
     whitenings run as one GEMM, ``W.reshape(K*p, p) @ (x - s).T`` minus
-    ``W (mu - s)``, with ``s`` the mean of the means (as in
+    ``W (mu - s)``, with ``s`` the mean of the means (as the data mean in
     ``_util.pairwise_sq_dists``, the shift keeps cancellation small when
     the data sit far from the origin).  The GEMM's (K*p, N) output is the
     one temporary beyond the (N, K) result: 0.36 MB at N=1500, p=2, K=15.
@@ -253,8 +253,8 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
             weights = nk / data.n
             means, covs = _scatter(mom, w, mass, nk, ridge_v)
             if free_nu:
-                log_u_expect = _util.log_u_offset(nu, p) - lp
-                nu = _util.nu_update(r, log_u_expect, u, _util.NU_BOUNDS, np.ones(k, dtype=bool))
+                tau_diff = (r * (_util.log_u_offset(nu, p) - lp - u)).sum(axis=0)
+                nu = _util.nu_from_sums(tau_diff, nk, _util.NU_BOUNDS, np.ones(k, dtype=bool))
         log_r, maha, lp = e_step(weights, means, covs, nu)
     labels = log_r.argmax(axis=1)
     wall = time.perf_counter() - start

@@ -49,6 +49,18 @@ class TestKmeans:
             kmeans_fit(d, 0)
 
 
+class TestBaselineConfig:
+    def test_a_negative_or_non_integer_seed_or_max_iter_is_rejected(self):
+        # a negative seed used to reach numpy's default_rng, and max_iter=2.5 a bare TypeError in range
+        for kwargs, match in (({"seed": -1}, "seed must be >= 0"), ({"seed": 1.5}, "seed must be an integer"),
+                              ({"max_iter": 2.5}, "max_iter must be an integer"),
+                              ({"max_iter": "3"}, "max_iter must be an integer")):
+            with pytest.raises(DomainError, match=match):
+                BaselineConfig(**kwargs)
+        cfg = BaselineConfig(max_iter=np.int64(3), seed=np.uint32(7))
+        assert kmeans_fit(line(0, 1, 9, 10), 2, cfg).iterations <= 3
+
+
 class TestKmeansppSeed:
     def test_k_one_uniform(self):
         d = line(0, 1, 9, 10)

@@ -71,6 +71,10 @@ class TestRunCommand:
             code, _, err = run_cli(capsys, "run", "--algo", algo, "--gen", TWO_BLOBS, "--k", "2", flag, "nan")
             assert code == 2 and "data error" in err, (algo, flag)
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--algo", "kmeans", "--gen", TWO_BLOBS, "--k", "2", "--seed", "-1")
+        assert code == 2 and out == "" and "data error: seed must be >= 0" in err
+
     def test_numerical_failure_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--algo", "gmm", "--gen", "blobs:k=1,n=2,p=5,std=1,seed=0",

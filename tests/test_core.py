@@ -344,6 +344,22 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(d, 0)
 
+    def test_a_non_integer_k_is_rejected(self):
+        # it used to be truncated, so fit(d, 2.7) fitted K=2
+        d = generate_gaussian_blobs(3, 10, 2, seed=0)
+        for k in (2.7, 2.0, "2"):
+            with pytest.raises(DomainError, match="K must be an integer"):
+                fit(d, k)
+            with pytest.raises(DomainError, match="K must be an integer"):
+                fit_fast(d, k)
+        assert fit(d, np.int64(2), FitConfig(seed=0, max_iter=2)).centers.shape == (2, 2)
+
+    def test_an_infinite_nu_bound_is_rejected(self):
+        # it used to pass here and fail inside the fit with "nu must be finite"
+        for bounds in ((1.0, math.inf), (math.nan, 200.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="nu_bounds"):
+                FitConfig(nu_bounds=bounds)
+
     def test_nll_monitor_matches_model(self):
         d = generate_gaussian_blobs(2, 25, 2, seed=3)
         r = fit(d, 2, FitConfig(seed=3, fixed_nu=2.0))
@@ -658,6 +674,43 @@ class TestFitFast:
             center = new
         assert r.iterations == len(shifts) > 2
         assert r.centers[0, 0] == pytest.approx(center, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "fit_fn, cfg",
+        [(kmeans_fit, BaselineConfig(seed=1)), (kmeans_fit, BaselineConfig(seed=1, init="kmeanspp")),
+         (fit_fast, FitConfig(seed=1, fast_alpha=0.1))],
+        ids=["kmeans", "kmeans++", "fit_fast"],
+    )
+    def test_hard_assignment_fits_build_one_distance_block(self, monkeypatch, fit_fn, cfg):
+        # every sweep, and fit_fast's final labels, take their distances from that block through the kernel
+        from tkmeans import _util
+
+        built, used = [], []
+        make_block, kernel = _util.distance_block, _util.pairwise_sq_dists
+
+        def building(x):
+            built.append(make_block(x))
+            return built[-1]
+
+        def counting(centers, points, **kwargs):
+            used.append(kwargs["block"])
+            return kernel(centers, points, **kwargs)
+
+        monkeypatch.setattr(_util, "distance_block", building)
+        monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
+        d = generate_gaussian_blobs(3, 30, 2, seed=1)
+        r = fit_fn(d, 3, cfg)
+        assert r.iterations > 1 and len(built) == 1
+        assert len(used) == r.iterations + (fit_fn is fit_fast) and all(b is built[0] for b in used)
+
+    def test_labels_are_the_block_kernel_argmin_at_the_returned_centers(self):
+        from tkmeans import _util
+
+        for seed in range(5):
+            d = generate_gaussian_blobs(4, 40, 3, cluster_std=1.5, seed=seed)
+            r = fit_fast(d, 4, FitConfig(seed=seed, fast_alpha=0.1))
+            d2 = _util.pairwise_sq_dists(r.centers, d.samples, block=_util.distance_block(d.samples))
+            assert np.array_equal(r.labels, d2.argmin(axis=0))
 
 class TestOracleIteration:
     def test_full_em_iteration_matches_transcription(self):

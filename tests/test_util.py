@@ -18,14 +18,19 @@ def _broadcast_sq_dists(x, centers):
     return (diff * diff).sum(axis=2)
 
 
+def _block_sq_dists(x, centers):
+    """The (K, N) squared distances of ``centers`` to ``x`` over a distance block built for this call."""
+    return _util.pairwise_sq_dists(centers, x, block=_util.distance_block(x))
+
+
 class TestPairwiseSqDists:
     def test_non_negative_at_coincident_points(self):
         rng = np.random.default_rng(0)
         for offset in (0.0, 1e3, 1e6):
             x = offset + rng.normal(0, 1, (200, 5))
-            d2 = _util.pairwise_sq_dists(x, x[:7])
+            d2 = _block_sq_dists(x, x[:7])
             assert (d2 >= 0.0).all()
-            assert d2.shape == (200, 7)
+            assert d2.shape == (7, 200)
 
     def test_matches_broadcast_form_relative_to_shifted_norms(self):
         rng = np.random.default_rng(1)
@@ -33,54 +38,40 @@ class TestPairwiseSqDists:
             for offset in (0.0, 1e6):
                 x = offset + rng.normal(0, 3, (n, p))
                 centers = offset + rng.normal(0, 3, (k, p))
-                m = centers.mean(axis=0)
+                m = x.mean(axis=0)
                 scale = ((x - m) ** 2).sum(axis=1)[:, None] + ((centers - m) ** 2).sum(axis=1)[None, :]
-                err = np.abs(_util.pairwise_sq_dists(x, centers) - _broadcast_sq_dists(x, centers))
+                err = np.abs(_block_sq_dists(x, centers).T - _broadcast_sq_dists(x, centers))
                 assert (err <= 1e-12 * scale).all()
 
-    def test_x_centers_call_keeps_the_centers_shift(self):
-        # the reference: shift by the centers' mean, in the kernel's order of operations
-        def centers_shifted(x, centers):
-            shift = centers.mean(axis=0)
-            xs, cs = x - shift, centers - shift
-            d2 = xs @ (-2.0 * cs.T)
-            d2 += np.einsum("np,np->n", xs, xs)[:, None]
-            d2 += np.einsum("kp,kp->k", cs, cs)
-            return np.maximum(d2, 0.0)
-
-        rng = np.random.default_rng(5)
-        for n, k, p in [(50, 1, 1), (300, 4, 2), (200, 15, 16), (40, 40, 3)]:
-            for offset in (0.0, 1e6):
-                x = offset + rng.normal(0, 3, (n, p))
-                centers = offset + rng.normal(0, 3, (k, p))
-                assert np.array_equal(_util.pairwise_sq_dists(x, centers), centers_shifted(x, centers))
-
     def test_memory_stays_below_the_broadcast_temporary(self):
+        # the block is built inside the measurement
         n, k, p = 4000, 20, 32
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (n, p))
         centers = rng.normal(0, 1, (k, p))
         tracemalloc.start()
         try:
-            _util.pairwise_sq_dists(x, centers)
+            _block_sq_dists(x, centers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * k * p * 8 / 4
 
-    def test_peak_is_the_result_the_shifted_data_and_one_norm_vector(self):
-        # no (N, K) finiteness mask and no second norm vector: at 100k x 2, K=50 they are 5 and 0.8 MB
+    def test_peak_on_a_prebuilt_block_is_the_result_and_the_operand(self):
+        # no (N, K) finiteness mask, no shifted copy of the data and no norm vector: one (K, N) result
+        # and the (K, p+2) operand, plus the small-object overhead of the call
         n, k, p = 20_000, 50, 2
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (n, p))
         centers = rng.normal(0, 1, (k, p))
+        block = _util.distance_block(x)
         tracemalloc.start()
         try:
-            _util.pairwise_sq_dists(x, centers)
+            _util.pairwise_sq_dists(centers, x, block=block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * (p + k + 1) * 8 + 96 * 1024
+        assert peak < (k * n + k * (p + 2)) * 8 + 4 * 1024
 
     def test_overflow_raises_typed_error_through_every_caller(self):
         d = generate_gaussian_blobs(3, 20, 2, seed=0)
@@ -88,7 +79,7 @@ class TestPairwiseSqDists:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                _util.pairwise_sq_dists(huge.samples, huge.samples[:3])
+                _block_sq_dists(huge.samples, huge.samples[:3])
             with pytest.raises(NumericalError):
                 fit(huge, 3, FitConfig(seed=0))
             # with N = K alpha falls to its floor, and d2 / (nu * alpha) overflows in the E-step
