@@ -21,6 +21,14 @@ def as_int(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a non-negative int; anything else raises ``DomainError``."""
+    seed = as_int("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def check_k(k: int, n: int) -> int:
     k = as_int("K", k)
     if k < 1:
@@ -28,6 +36,16 @@ def check_k(k: int, n: int) -> int:
     if k > n:
         raise DomainError(f"K={k} exceeds the number of samples N={n}")
     return k
+
+
+def blocks(n: int, size: int):
+    """(start, stop) of each block of ``size`` consecutive points among ``n``, the last one short."""
+    return ((start, min(start + size, n)) for start in range(0, n, size))
+
+
+def block_view(buf: np.ndarray, rows: int, b: int) -> np.ndarray:
+    """The first rows*b floats of a flat buffer as a C-ordered (rows, b) matrix."""
+    return buf[: rows * b].reshape(rows, b)
 
 
 def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,8 +39,7 @@ class BaselineConfig:
     def __post_init__(self):
         if _util.as_int("max_iter", self.max_iter) < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if _util.as_int("seed", self.seed) < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        _util.check_seed(self.seed)
         if not 0 < self.tol < np.inf:
             raise DomainError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -51,10 +50,11 @@ def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:
     The first center is uniform over the points; each next one is drawn
     with probability proportional to its squared distance to the nearest
     chosen center.  When all remaining mass is zero (duplicate points) the
-    choice falls back to uniform over the unchosen indices.
+    choice falls back to uniform over the unchosen indices.  A negative or
+    non-integer ``seed`` raises ``DomainError``.
     """
     k = _util.check_k(k, data.n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_util.check_seed(seed))
     idx = _util.kmeanspp_indices(data.samples, k, rng)
     return data.samples[idx].copy()
 

@@ -160,16 +160,6 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
 _BLOCK = 4096
 
 
-def _blocks(n: int):
-    """(start, stop) of each block of ``_BLOCK`` points, the constant read at call time."""
-    return ((start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
-
-
-def _view(buf: np.ndarray, k: int, b: int) -> np.ndarray:
-    """The first K*b floats of a flat buffer as a C-ordered (K, b) matrix."""
-    return buf[: k * b].reshape(k, b)
-
-
 def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
     """``1 + s`` with ``s = d2/(nu*alpha)``, its log and ln t for one block of points, each (K, B).
 
@@ -354,9 +344,9 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
     rows, mean = _util.distance_block(x) if block is None else block
     scratch = np.empty(k * min(n, _BLOCK)) if scratch is None else scratch
     total = 0.0
-    for start, stop in _blocks(n):
+    for start, stop in _util.blocks(n, _BLOCK):
         d2 = _util.pairwise_sq_dists(centers, x[start:stop], block=(rows[:, start:stop], mean),
-                                     out=_view(scratch, k, stop - start))
+                                     out=_util.block_view(scratch, k, stop - start))
         with np.errstate(over="ignore"):
             total += float(d2.min(axis=0).sum())
     alpha0 = total / n / data.p
@@ -376,9 +366,9 @@ def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False,
     """
     k = model.k
     loss = 0.0
-    for start, stop in _blocks(x.shape[0]):
+    for start, stop in _util.blocks(x.shape[0], _BLOCK):
         rows_b = rows[:, start:stop]
-        d2, lp, logt = (_view(buf, k, stop - start) for buf in bufs)
+        d2, lp, logt = (_util.block_view(buf, k, stop - start) for buf in bufs)
         lse, tau, u, lp = _e_block(x[start:stop], rows_b, mean, model, d2, lp, logt, totals[start:stop, None])
         loss += _nll(lse, model)
         if sums is not None:
@@ -450,7 +440,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
         model = TkModel(model.centers, model.alpha, _util.NU_START)
         model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
     if n <= _BLOCK:
-        labels = _view(bufs[2], k, n).T.argmax(axis=1)
+        labels = _util.block_view(bufs[2], k, n).T.argmax(axis=1)
     else:
         labels = np.empty(n, dtype=np.intp)
         _pass(x, rows, mean, model, bufs, totals, labels=labels)

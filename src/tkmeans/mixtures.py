@@ -8,17 +8,28 @@ clamped to [1, 200].  Means default to k-means++ seeding, covariances to
 the global data scatter, and weights to uniform.  Both fits run one EM
 loop (``_em``); the t fit adds the precision weights and the ``nu`` update.
 
-Each E-step evaluates all K components in one batched computation (see
-``_maha_logdet``): one Cholesky of the (K, p, p) covariance stack, one
-inverse of the factors and one whitening GEMM over the data; one ``exp``
-pass then gives both the row log-likelihoods and the responsibilities.
-The M-step works from sufficient statistics built once per fit
-(``_row_moments``): the data centered at their mean ``c`` and, when
-p < 2K, the packed upper triangle of each centered row's outer product.
-The K means are one GEMM of the weights with the centered data and the K
-scatters one GEMM with the packed block, or with a weighted copy of the
-data when p >= 2K (``_scatter``), so the Python cost of an iteration does
-not grow with K.
+Both fits run one pass over the data per EM iteration, in blocks of
+``_BLOCK`` points (data of up to that many points run as one block), as
+``core.fit`` does.  A fit builds one C-ordered moment block of the data
+(``_row_moments``): the rows of ``x - c``, with ``c`` the data mean, a
+row of ones and, when p < 2K, the packed upper triangle of each centered
+row's outer product.  Each E-step builds the (K*p, p+1) whitening
+operator ``[W | W(c - mu)]`` and the log-determinants from one Cholesky
+of the (K, p, p) covariance stack (``_maha_logdet``).  A block takes its
+whitened coordinates from one GEMM of that operator with its columns of
+the block's first p+1 rows and sums their squares into (K, B)
+Mahalanobis distances; one ``exp`` pass on the transposed view then gives
+both the row log-likelihoods and the responsibilities ``r``, in place.
+A second GEMM of the weights (``r``, or ``r * u`` for the t fit) with the
+block's columns adds the weighted sums of ``x - c``, the mass and the
+packed second moments that the M-step needs (``_add_moments``); one
+``einsum`` adds the ``nu`` update's ``sum r E ln u``.  With p >= 2K the
+second moments come from the block's weighted copy of the data, written
+into the whitening buffer.  The M-step reads the K means and scatters off
+those sums (``_scatter``), so the Python cost of an iteration does not
+grow with K, and every block reuses the same buffers: a fit holds the
+moment block, one (K*p, B) and up to three (K, B) buffers, and no (N, K)
+array (at 50,000 x 2, K=50 about 11 MB).
 """
 
 from __future__ import annotations
@@ -72,19 +83,25 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     return value
 
 
-def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
-    """Squared Mahalanobis distances to every component, and the log-determinants.
+# Points per block of an EM pass.  A block fills one (K*p, B) buffer and up to three (K, B)
+# buffers that every block reuses; data of up to B points run as one block.
+_BLOCK = 4096
 
-    Returns the (N, K) distance matrix and the (K,) covariance
-    log-determinants.  With ``L_j`` the Cholesky factor of component j and
-    ``W_j`` its inverse, the distance is ``|W_j (x - mu_j)|^2``; all K
-    whitenings run as one GEMM, ``W.reshape(K*p, p) @ (x - s).T`` minus
-    ``W (mu - s)``, with ``s`` the mean of the means (as the data mean in
-    ``_util.pairwise_sq_dists``, the shift keeps cancellation small when
-    the data sit far from the origin).  The GEMM's (K*p, N) output is the
-    one temporary beyond the (N, K) result: 0.36 MB at N=1500, p=2, K=15.
-    A covariance whose Cholesky fails raises ``NumericalError`` naming the
-    first such component.
+
+def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray):
+    """The whitening operator of every component about ``c``, and the log-determinants.
+
+    With ``L_j`` the Cholesky factor of component j and ``W_j`` its
+    inverse, the squared Mahalanobis distance of x is ``|W_j (x - mu_j)|^2
+    = |W_j (x - c) + W_j (c - mu_j)|^2``.  Returns the (K*p, p+1) operator
+    whose rows j*p..j*p+p-1 are ``[W_j | W_j (c - mu_j)]``, so one GEMM
+    with the rows ``[x - c; 1]`` of the moment block whitens a block of
+    points for all K components, and the (K,) covariance log-determinants.
+    With ``c`` the data mean, the cancellation error of a distance stays
+    near eps * (|W_j (x - c)|^2 + |W_j (mu_j - c)|^2) however far the data
+    sit from the origin, as in ``_util.pairwise_sq_dists``.  A covariance
+    whose Cholesky fails raises ``NumericalError`` naming the first such
+    component.
     """
     k, p = means.shape
     try:
@@ -97,72 +114,171 @@ def _maha_logdet(x: np.ndarray, means: np.ndarray, covs: np.ndarray):
             except np.linalg.LinAlgError as exc_j:
                 raise NumericalError(f"component {j}: covariance is singular") from exc_j
         raise NumericalError("covariance stack is singular") from exc
-    whiten = np.linalg.inv(chol)
-    shift = means.mean(axis=0)
-    y = whiten.reshape(k * p, p) @ (x - shift).T
-    y -= (whiten @ (means - shift)[:, :, None]).reshape(k * p, 1)
-    y *= y
-    maha = y.reshape(k, p, x.shape[0]).sum(axis=1).T
+    op = np.empty((k, p, p + 1))
+    op[:, :, :p] = np.linalg.inv(chol)
+    np.matmul(op[:, :, :p], (c - means)[:, :, None], out=op[:, :, p:])
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return maha, logdet
+    return op.reshape(k * p, p + 1), logdet
 
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-fit sufficient statistics of the data, built by ``_row_moments``."""
+    """The per-fit moment block of the data, built by ``_row_moments``."""
 
     c: np.ndarray  # (p,), the data mean
-    xc: np.ndarray  # (N, p), the data centered at c
-    phi: np.ndarray | None  # (N, p(p+1)/2), packed upper triangles of xc_i xc_i^T; None when p >= 2K
+    cols: np.ndarray  # C-ordered (p+1+q, N): (x - c)^T, a row of ones, then q packed products when ``packed``
+    packed: bool  # whether cols holds the q = p(p+1)/2 packed upper triangles of (x_i - c)(x_i - c)^T
     iu: np.ndarray  # row and column of each packed entry
     ju: np.ndarray
     diag: np.ndarray  # the packed entries on the diagonal
+    sym: np.ndarray  # the packed entry of each (a, b) of a p x p matrix, row by row
 
 
 def _row_moments(x: np.ndarray, k: int) -> _Moments:
-    """Center the data and, when p < 2K, pack each row's outer product, once per fit.
+    """The data's moment block, once per fit: ``[x - c | 1 | phi]`` as C-ordered rows.
 
-    ``phi`` holds N p(p+1)/2 floats, so its memory grows as p^2.  It is
-    built only when p < 2K, where it is no larger than the (K*p, N) block
-    of ``_maha_logdet``; wider data get their second moments from an
-    (N, K*p) weighted copy of the data in each ``_scatter`` instead.  A
+    One GEMM of a block's weights with its columns of the block gives the
+    weighted sums of ``x - c``, the mass and, through ``phi``, the packed
+    second moments about ``c``.  ``phi`` holds N p(p+1)/2 floats, so its
+    memory grows as p^2; it is built only when p < 2K, where it is no
+    larger than one (K*p, N) whitening of the data.  Wider data form their
+    second moments from a block's weighted copy (``_add_moments``).  A
     squared entry that overflows raises ``NumericalError``; every product
     in ``phi`` is bounded by the larger of two such squares.
     """
-    c = x.mean(axis=0)
-    xc = x - c
-    _finite("the data's second moments", lambda: xc * xc)
-    iu, ju = np.triu_indices(x.shape[1])
-    phi = xc[:, iu] * xc[:, ju] if x.shape[1] < 2 * k else None
-    return _Moments(c, xc, phi, iu, ju, np.flatnonzero(iu == ju))
+    n, p = x.shape
+    iu, ju = np.triu_indices(p)
+    packed = p < 2 * k
+    cols = np.empty((p + 1 + (iu.size if packed else 0), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x.mean(axis=0)
+        np.subtract(x, c, out=cols[:p].T)
+    _finite("the data's second moments", lambda: np.abs(cols[:p]).max() ** 2)
+    cols[p] = 1.0
+    if packed:
+        for row, (a, b) in enumerate(zip(iu, ju), p + 1):
+            np.multiply(cols[a], cols[b], out=cols[row])
+    sym = np.empty((p, p), dtype=np.intp)
+    sym[iu, ju] = sym[ju, iu] = np.arange(iu.size)
+    return _Moments(c, cols, packed, iu, ju, np.flatnonzero(iu == ju), sym.ravel())
 
 
-def _second_moments(mom: _Moments, w: np.ndarray) -> np.ndarray:
-    """Packed ``sum_i w_ij xc_i xc_i^T`` for every column j of ``w``, as a (K, p(p+1)/2) array.
+def _add_moments(sums: np.ndarray, outer, w: np.ndarray, cols: np.ndarray, wx: np.ndarray) -> None:
+    """Add one block's weighted moments to ``sums`` (K, >= p+1+q) and, without ``phi``, to ``outer``.
 
-    One GEMM, ``w.T @ phi``; without ``phi`` (p >= 2K) the (N, K*p) block
-    of ``w_ij xc_i`` times ``xc``.
+    ``w`` is the block's (K, B) weights and ``cols`` its columns of the
+    moment block.  The first p+1+q columns of ``sums`` gain ``w @ cols.T``:
+    ``sum w (x - c)``, the mass ``sum w`` and the packed ``sum w phi``.
+    ``outer``, the (K*p, p) ``sum w (x - c)(x - c)^T`` when the block holds
+    no ``phi`` (p >= 2K), gains the product of the weighted copy ``w_j (x -
+    c)``, written into the flat buffer ``wx`` of at least K*p*B floats, with
+    ``x - c``.
     """
-    if mom.phi is not None:
-        return w.T @ mom.phi
-    k, p = w.shape[1], mom.xc.shape[1]
-    wx = (w[:, :, None] * mom.xc[:, None, :]).reshape(-1, k * p)
-    return (wx.T @ mom.xc).reshape(k, p, p)[:, mom.iu, mom.ju]
+    sums[:, : cols.shape[0]] += w @ cols.T
+    if outer is not None:
+        (k, b), p = w.shape, outer.shape[1]
+        copy = np.multiply(w[:, None, :], cols[None, :p], out=wx[: k * p * b].reshape(k, p, b))
+        outer += copy.reshape(k * p, b) @ cols[:p].T
 
 
-def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, ridge: float):
-    """Weighted means and scatters of all K components from the row moments.
+def _e_step(weights: np.ndarray, means: np.ndarray, covs: np.ndarray, nu, c: np.ndarray):
+    """One E-step's constants: the whitening operator, the scale and the (K, 1) bias of ``log r``, and ``nu``.
+
+    The unnormalized log responsibility is ``scale * g + bias`` with ``g``
+    the Mahalanobis distance for the Gaussian fit (scale -1/2) and
+    ``log1p(maha / nu)`` for the t fit (scale -(nu+p)/2).  Calls
+    ``_maha_logdet`` once.
+    """
+    op, logdet = _maha_logdet(means, covs, c)
+    p = means.shape[1]
+    if nu is None:
+        return op, -0.5, (np.log(weights) - 0.5 * (p * _LOG_2PI + logdet))[:, None], None
+    return op, -0.5 * (nu + p), (np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet)[:, None], nu
+
+
+def _e_block(cols: np.ndarray, e, bufs):
+    """E-step of one block; returns its row log-likelihoods, ``r``, the weights ``w`` and ``log1p(maha/nu)``.
+
+    ``cols`` are the block's columns of the moment block and ``e`` is
+    ``_e_step``'s tuple.  One GEMM of the operator with the rows ``[x - c;
+    1]`` fills the (K*p, B) buffer ``bufs[0]`` with the whitened
+    coordinates; their squares summed over p give the (K, B) distances.
+    ``log r`` is formed and normalized in place in ``bufs[1]`` (one ``exp``
+    pass, on its transposed view), so ``r`` is (K, B).  The Gaussian fit
+    weights by ``r``.  The t fit keeps the distances in ``bufs[2]``,
+    overwrites them with ``u = (nu+p)/(nu+maha)`` and then ``w = r * u``,
+    and keeps ``log1p(maha/nu)`` in ``bufs[3]``; it returns None there
+    for the Gaussian fit.
+    """
+    op, scale, bias, nu = e
+    k, b = bias.shape[0], cols.shape[1]
+    p = op.shape[1] - 1
+    y = _util.block_view(bufs[0], k * p, b)
+    log_r = _util.block_view(bufs[1], k, b)
+    np.matmul(op, cols[: p + 1], out=y)
+    y *= y
+    if nu is None:
+        np.sum(y.reshape(k, p, b), axis=1, out=log_r)
+        log_r *= scale
+        log_r += bias
+        row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
+        return row_ll, log_r, log_r, None
+    maha, lp = _util.block_view(bufs[2], k, b), _util.block_view(bufs[3], k, b)
+    np.sum(y.reshape(k, p, b), axis=1, out=maha)
+    np.log1p(np.divide(maha, nu, out=lp), out=lp)
+    np.multiply(lp, scale, out=log_r)
+    log_r += bias
+    row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
+    maha += nu
+    u = np.divide(nu + p, maha, out=maha)
+    return row_ll, log_r, np.multiply(log_r, u, out=u), lp
+
+
+def _e_blocks(mom: _Moments, e, bufs):
+    """Run the E-step ``e`` block by block; yields ``(start, stop, cols)`` and ``_e_block``'s results."""
+    for start, stop in _util.blocks(mom.cols.shape[1], _BLOCK):
+        cols = mom.cols[:, start:stop]
+        yield (start, stop, cols, *_e_block(cols, e, bufs))
+
+
+def _pass(mom: _Moments, e, bufs, sums: np.ndarray, outer=None, free_nu: bool = False) -> float:
+    """Score the E-step ``e`` over the data and gather the next M-step's sums; returns the log likelihood.
+
+    ``sums`` (K, p+3+q) receives ``_add_moments``'s sums of the weights in
+    its first p+1+q columns and, for the t fit, ``sum r`` and (when
+    ``free_nu``) ``sum r E ln u`` in the last two, with ``E ln u =
+    log_u_offset - log1p(maha/nu)``; ``outer`` is zeroed and refilled.
+    """
+    nu = e[3]
+    p, rows = mom.c.shape[0], mom.cols.shape[0]
+    sums.fill(0.0)
+    if outer is not None:
+        outer.fill(0.0)
+    ll = 0.0
+    offset = _util.log_u_offset(nu, p) if free_nu else None
+    for _, _, cols, row_ll, r, w, lp in _e_blocks(mom, e, bufs):
+        ll += float(row_ll.sum())
+        _add_moments(sums, outer, w, cols, bufs[0])
+        if nu is not None:
+            sums[:, rows] += r @ cols[p]
+            if free_nu:
+                sums[:, rows + 1] += np.einsum("kb,kb->k", r, np.subtract(offset, lp, out=lp))
+    return ll
+
+
+def _scatter(mom: _Moments, sums: np.ndarray, outer, nk: np.ndarray, ridge: float, rerun):
+    """Weighted means and scatters of all K components from a pass's moment sums.
 
     Returns ``(means, covs)``: ``mu_j = sum_i w_ij x_i / mass_j`` and
-    ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``.  The
-    Gaussian fit passes ``w = r`` and ``mass = nk``; the t fit passes ``w =
-    r * u`` and ``mass = sum_i r_ij u_ij``.  The means are one GEMM with
-    the centered data; the scatters are the second moments about ``c``
-    (``_second_moments``) minus ``mass_j (mu_j - c)(mu_j - c)^T``.  That
-    subtraction gives the centered sum only because ``mu_j`` is the
-    ``w``-weighted mean with ``mass_j = sum_i w_ij``, which is why the
-    means are computed here.  Each packed entry fills both (a, b) and
-    (b, a), so every scatter is exactly symmetric.
+    ``sum_i w_ij (x_i - mu_j)(x_i - mu_j)^T / nk_j + ridge * I``, with the
+    weights ``w = r`` (``mass = nk``) for the Gaussian fit and ``w = r *
+    u`` for the t fit.  ``sums`` and ``outer`` are ``_add_moments``'s over
+    all points.  The scatters are the second moments about ``c`` minus
+    ``mass_j (mu_j - c)(mu_j - c)^T``; that subtraction gives the centered
+    sum only because ``mu_j`` is the ``w``-weighted mean with ``mass_j =
+    sum_i w_ij``, which is why the means are computed here.  Each packed
+    entry fills both (a, b) and (b, a) (``sym``), so every scatter is
+    exactly symmetric.
 
     Precision: the subtraction cancels when a component sits far from
     ``c`` relative to its spread, so its absolute error is about eps *
@@ -170,40 +286,46 @@ def _scatter(mom: _Moments, w: np.ndarray, mass: np.ndarray, nk: np.ndarray, rid
     ``_util.pairwise_sq_dists``.  A component with a variance below 1e-6
     of that spread (a tight cluster far from ``c``, or one that collapsed)
     is recomputed as the weighted sum of outer products centered at its
-    own mean, so no variance loses more than about 1e-9 of itself to the
-    cancellation, also with ``ridge = 0``.
+    own mean, over the blocks of ``rerun()``, which yields ``(start, stop,
+    w)`` with the block's (K, B) weights, so no variance loses more than
+    about 1e-9 of itself to the cancellation, also with ``ridge = 0``.
     """
-    dm = (w.T @ mom.xc) / mass[:, None]
-    k, p = dm.shape
-    v = _second_moments(mom, w)
-    spread = v[:, mom.diag].sum(axis=1)
-    v -= mass[:, None] * (dm[:, mom.iu] * dm[:, mom.ju])
-    near = (v[:, mom.diag] < 1e-6 * spread[:, None]).any(axis=1)
+    p, k = mom.c.shape[0], sums.shape[0]
+    mass = sums[:, p]
+    dm = sums[:, :p] / mass[:, None]
+    second = sums[:, p + 1 : mom.cols.shape[0]] if outer is None else outer.reshape(k, p, p)[:, mom.iu, mom.ju]
+    spread = second.take(mom.diag, axis=1).sum(axis=1)
+    v = second - mass[:, None] * (dm.take(mom.iu, axis=1) * dm.take(mom.ju, axis=1))
+    near = (v.take(mom.diag, axis=1) < 1e-6 * spread[:, None]).any(axis=1)
     if near.any():
-        d = mom.xc - dm[near, None, :]
-        v[near] = ((d * w.T[near, :, None]).transpose(0, 2, 1) @ d)[:, mom.iu, mom.ju]
+        v[near] = 0.0
+        for start, stop, w in rerun():
+            d = mom.cols[:p, start:stop].T - dm[near, None, :]
+            v[near] += ((d * w[near, :, None]).transpose(0, 2, 1) @ d)[:, mom.iu, mom.ju]
     v /= nk[:, None]
-    covs = np.empty((k, p, p))
-    covs[:, mom.iu, mom.ju] = v
-    covs[:, mom.ju, mom.iu] = v
-    diag = np.arange(p)
-    covs[:, diag, diag] += ridge
-    return mom.c + dm, covs
+    covs = v.take(mom.sym, axis=1)
+    covs[:, :: p + 1] += ridge
+    return mom.c + dm, covs.reshape(k, p, p)
 
 
 def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free_nu=False):
     """The EM loop of ``gmm_fit`` (``nu`` None) and ``tmm_fit``; returns (ClusteringResult, MixtureModel).
 
-    An iteration traces the log likelihood of the current E-step, stops on
-    ``_util.converged``, then runs the M-step and the next E-step, so the
-    labels come from the last parameters.  The t M-step weights by ``r * u``
-    instead of ``r`` and moves ``nu`` when ``free_nu``.
+    A first pass scores the initial parameters and gathers their M-step
+    sums; an iteration traces the log likelihood of the last pass, stops
+    on ``_util.converged``, then runs the M-step from the sums and the
+    next pass, so I M-steps take I+1 passes and one ``_maha_logdet`` call
+    each.  Labels are the argmax responsibilities of the last pass: from
+    its buffer when one block covers the data, else from one more pass of
+    the same E-step.  The t M-step weights by ``r * u`` instead of ``r``
+    and moves ``nu`` when ``free_nu``.  A sum that overflows float64
+    raises ``NumericalError``.
     """
     cfg = cfg if cfg is not None else BaselineConfig(init="kmeanspp")
     k = _util.check_k(k, data.n)
     if data.n < 2:
         raise DomainError("mixture fits need at least 2 samples")
-    x, p = data.samples, data.p
+    x, n, p = data.samples, data.n, data.p
     ridge_v = _default_ridge(x, ridge)
     if nu is not None and not 0 < nu < math.inf:
         raise DomainError(f"nu must be finite and > 0, got {nu}")
@@ -217,46 +339,44 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
         cov = constrained_alpha * np.eye(p)
     covs = np.repeat(cov[None, :, :], k, axis=0)
 
-    def e_step(weights, means, covs, nu):
-        """Log responsibilities (unnormalized), the distances and, for the t fit, ``log1p(maha / nu)``."""
-        maha, logdet = _maha_logdet(x, means, covs)
-        if nu is None:
-            return np.log(weights) - 0.5 * (p * _LOG_2PI + logdet + maha), maha, None
-        lp = np.log1p(maha / nu)
-        return np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet - 0.5 * (nu + p) * lp, maha, lp
-
     mom = _row_moments(x, k)
+    rows, b = mom.cols.shape[0], min(n, _BLOCK)
+    bufs = [np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 3)]
+    sums = np.empty((k, rows + 2))
+    outer = None if mom.packed or constrained_alpha is not None else np.empty((k * p, p))
     trace: list[float] = []
     prev_ll = None
-    log_r, maha, lp = e_step(weights, means, covs, nu)
+    e = _e_step(weights, means, covs, nu, mom.c)
+    ll = _pass(mom, e, bufs, sums, outer, free_nu)
     for _ in range(cfg.max_iter):
-        row_ll, r = _log_normalize(log_r)
-        ll = float(row_ll.sum())
         trace.append(ll)
         if _util.converged(ll, prev_ll, cfg.tol):
             break
         prev_ll = ll
-        nk = r.sum(axis=0)
+        if not np.isfinite(sums).all() or (outer is not None and not np.isfinite(outer).all()):
+            raise NumericalError("the M-step's weighted sums overflow float64; rescale the data")
+        mass = sums[:, p]
+        nk = mass if nu is None else sums[:, rows]
         if constrained_alpha is not None:
             # a component with no mass keeps its mean
             live = nk > 0.0
-            means[live] = mom.c + (r.T @ mom.xc)[live] / nk[live, None]
+            means[live] = mom.c + sums[live, :p] / nk[live, None]
         else:
-            if nu is None:
-                w, mass = r, nk
-            else:
-                u = (nu + p) / (nu + maha)
-                w = r * u
-                mass = w.sum(axis=0)
             if (nk <= 0.0).any() or (mass <= 0.0).any():
                 raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
-            weights = nk / data.n
-            means, covs = _scatter(mom, w, mass, nk, ridge_v)
+            weights = nk / n
+            means, covs = _scatter(mom, sums, outer, nk, ridge_v,
+                                   lambda: ((s, t, w) for s, t, _, _, _, w, _ in _e_blocks(mom, e, bufs)))
             if free_nu:
-                tau_diff = (r * (_util.log_u_offset(nu, p) - lp - u)).sum(axis=0)
-                nu = _util.nu_from_sums(tau_diff, nk, _util.NU_BOUNDS, np.ones(k, dtype=bool))
-        log_r, maha, lp = e_step(weights, means, covs, nu)
-    labels = log_r.argmax(axis=1)
+                nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk, _util.NU_BOUNDS, np.ones(k, dtype=bool))
+        e = _e_step(weights, means, covs, nu, mom.c)
+        ll = _pass(mom, e, bufs, sums, outer, free_nu)
+    if n <= _BLOCK:
+        labels = _util.block_view(bufs[1], k, n).argmax(axis=0)
+    else:
+        labels = np.empty(n, dtype=np.intp)
+        for s, t, _, _, r, _, _ in _e_blocks(mom, e, bufs):
+            labels[s:t] = r.argmax(axis=0)
     wall = time.perf_counter() - start
     model = MixtureModel(weights.copy(), means.copy(), covs.copy(), nu=nu)
     result = ClusteringResult(labels, means.copy(), np.asarray(trace), len(trace), wall, model=model)

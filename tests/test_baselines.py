@@ -88,6 +88,14 @@ class TestKmeansppSeed:
         d = generate_gaussian_blobs(4, 20, 2, seed=0)
         assert np.array_equal(kmeanspp_seed(d, 4, seed=9), kmeanspp_seed(d, 4, seed=9))
 
+    @pytest.mark.parametrize("seed, match", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer")])
+    def test_a_negative_or_non_integer_seed_is_rejected(self, seed, match):
+        # these used to reach numpy's default_rng and raise its ValueError or TypeError
+        d = line(0, 1, 9, 10)
+        with pytest.raises(DomainError, match=match):
+            kmeanspp_seed(d, 2, seed=seed)
+        assert np.array_equal(kmeanspp_seed(d, 2, seed=np.uint32(7)), kmeanspp_seed(d, 2, seed=7))
+
 
 class TestMedoidOf:
     @staticmethod

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
 from tkmeans import mixtures
 from tkmeans.errors import DomainError, NumericalError
 from tkmeans.metrics import adjusted_rand_index
-from tkmeans.mixtures import _maha_logdet, _row_moments, _scatter, _second_moments, gmm_fit, tmm_fit
+from tkmeans.mixtures import _add_moments, _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
 from tkmeans.specialfn import _log_normalize, log_sum_exp
 
 
@@ -41,6 +42,15 @@ def _random_spd(rng, k, p):
     return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(p)
 
 
+def _whitened_sq(x, means, covs):
+    """Squared Mahalanobis distances (N, K) from ``_maha_logdet``'s operator about the data mean."""
+    k, p = means.shape
+    mom = _row_moments(x, k)
+    op, logdet = _maha_logdet(means, covs, mom.c)
+    y = op @ mom.cols[: p + 1]
+    return (y * y).reshape(k, p, x.shape[0]).sum(axis=1).T, logdet, mom.c
+
+
 class TestMahaLogdet:
     @pytest.mark.parametrize("p", [1, 2, 4, 16])
     @pytest.mark.parametrize("k", [1, 3, 15])
@@ -50,23 +60,21 @@ class TestMahaLogdet:
         for offset in (0.0, 1e6):
             x = offset + rng.normal(0, 3, (200, p))
             means = offset + rng.normal(0, 3, (k, p))
-            maha, logdet = _maha_logdet(x, means, covs)
+            maha, logdet, c = _whitened_sq(x, means, covs)
             assert maha.shape == (200, k) and logdet.shape == (k,)
-            s = means.mean(axis=0)
             for j in range(k):
                 ref, ref_logdet = _solve_maha_logdet(x, means[j], covs[j])
-                # relative to the whitened norms of the shifted operands, as for pairwise_sq_dists
-                scale = _solve_maha_logdet(x, s, covs[j])[0] + _solve_maha_logdet(means[j : j + 1], s, covs[j])[0]
+                # relative to the whitened norms about the data mean, as for pairwise_sq_dists
+                scale = _solve_maha_logdet(x, c, covs[j])[0] + _solve_maha_logdet(means[j : j + 1], c, covs[j])[0]
                 assert (np.abs(maha[:, j] - ref) <= 1e-12 * scale).all()
                 assert abs(logdet[j] - ref_logdet) <= 1e-12 * max(1.0, abs(ref_logdet))
 
     def test_names_the_singular_component(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, (20, 3))
         covs = _random_spd(rng, 4, 3)
         covs[2] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # rank 1
         with pytest.raises(NumericalError, match="component 2: covariance is singular"):
-            _maha_logdet(x, rng.normal(0, 1, (4, 3)), covs)
+            _maha_logdet(rng.normal(0, 1, (4, 3)), covs, np.zeros(3))
 
 
 def _centered_scatter(x, w, mass, nk, ridge):
@@ -81,17 +89,39 @@ def _centered_scatter(x, w, mass, nk, ridge):
     return means, covs
 
 
+def _moment_sums(x, w, size=None):
+    """The moment block of ``x`` and ``_add_moments``'s sums of the (N, K) weights ``w`` over blocks of ``size`` points.
+
+    Returns ``(mom, sums, outer, rerun)``, with ``rerun`` yielding the same blocks' weights as ``_scatter`` takes them.
+    """
+    (n, k), p = w.shape, x.shape[1]
+    mom = _row_moments(x, k)
+    sums = np.zeros((k, mom.cols.shape[0]))
+    outer = None if mom.packed else np.zeros((k * p, p))
+    blocks = [(s, min(s + (size or n), n)) for s in range(0, n, size or n)]
+    wx = np.empty(k * p * n)
+    for s, t in blocks:
+        _add_moments(sums, outer, np.ascontiguousarray(w[s:t].T), mom.cols[:, s:t], wx)
+    return mom, sums, outer, lambda: [(s, t, w[s:t].T) for s, t in blocks]
+
+
+def _block_scatter(x, w, nk, ridge, size=None):
+    mom, sums, outer, rerun = _moment_sums(x, w, size)
+    return _scatter(mom, sums, outer, nk, ridge, rerun)
+
+
 def _check_scatter(x, r, u, ridge=1e-3):
     w = r * u
     mass, nk = w.sum(axis=0), r.sum(axis=0)
-    means, covs = _scatter(_row_moments(x, w.shape[1]), w, mass, nk, ridge)
     ref_means, ref_covs = _centered_scatter(x, w, mass, nk, ridge)
-    assert np.array_equal(covs, covs.transpose(0, 2, 1))
     c = x.mean(axis=0)
     # the contract: eps-level error relative to each component's weighted spread about c
     scale = (w * ((x - c) ** 2).sum(axis=1)[:, None]).sum(axis=0) / nk
-    assert (np.abs(covs - ref_covs) <= 1e-12 * scale[:, None, None]).all()
-    assert (np.abs(means - ref_means) <= 1e-12 * (np.abs(c).max() + np.sqrt(scale))[:, None]).all()
+    for size in (None, 7):  # one block, and blocks of 7 points
+        means, covs = _block_scatter(x, w, nk, ridge, size)
+        assert np.array_equal(covs, covs.transpose(0, 2, 1))
+        assert (np.abs(covs - ref_covs) <= 1e-12 * scale[:, None, None]).all()
+        assert (np.abs(means - ref_means) <= 1e-12 * (np.abs(c).max() + np.sqrt(scale))[:, None]).all()
 
 
 class TestScatter:
@@ -112,13 +142,17 @@ class TestScatter:
         rng = np.random.default_rng(200 * p + k)
         x = rng.normal(0, 3, (300, p)) + 1e6
         w = rng.dirichlet(np.ones(k), 300) * rng.uniform(0.05, 3.0, (300, k))
-        mom = _row_moments(x, k)
-        assert (mom.phi is None) == (p >= 2 * k)
         xc = x - x.mean(axis=0)
         ref = np.einsum("nk,na,nb->kab", w, xc, xc)
         iu, ju = np.triu_indices(p)
         scale = (w * (xc**2).sum(axis=1)[:, None]).sum(axis=0)
-        assert (np.abs(_second_moments(mom, w) - ref[:, iu, ju]) <= 1e-13 * scale[:, None]).all()
+        for size in (None, 7):
+            mom, sums, outer, _ = _moment_sums(x, w, size)
+            assert mom.packed == (p < 2 * k)
+            second = sums[:, p + 1 :] if mom.packed else outer.reshape(k, p, p)[:, iu, ju]
+            assert (np.abs(second - ref[:, iu, ju]) <= 1e-13 * scale[:, None]).all()
+            assert np.abs(sums[:, :p] - w.T @ xc).max() <= 1e-13 * scale.max()
+            assert np.abs(sums[:, p] - w.sum(axis=0)).max() <= 1e-13 * w.sum()
 
     def test_tight_far_clusters(self):
         rng = np.random.default_rng(3)
@@ -144,11 +178,12 @@ class TestScatter:
             for u in (np.ones((300, 3)), rng.uniform(0.5, 2.0, (300, 3))):
                 w = rk[rows] * u[rows, :k]
                 mass, nk = w.sum(axis=0), rk[rows].sum(axis=0)
-                _, covs = _scatter(_row_moments(x[rows], k), w, mass, nk, 0.0)
                 _, ref = _centered_scatter(x[rows], w, mass, nk, 0.0)
                 variance = np.diagonal(ref, axis1=1, axis2=2).max(axis=1)
-                # centering rounds each entry by about eps * 1e3, 1e-7 of the spread; cancellation would cost 1e2
-                assert (np.abs(covs - ref) <= 1e-6 * variance[:, None, None]).all()
+                for size in (None, 7):  # the centered recompute runs over the blocks again
+                    _, covs = _block_scatter(x[rows], w, nk, 0.0, size)
+                    # centering rounds each entry by about eps * 1e3, 1e-7 of the spread; cancellation would cost 1e2
+                    assert (np.abs(covs - ref) <= 1e-6 * variance[:, None, None]).all()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_overflowing_moments_are_typed(self, k):
@@ -212,6 +247,74 @@ class TestEStepCount:
         result, _ = fit(d, 3, BaselineConfig(seed=1, max_iter=max_iter))
         assert (result.iterations < max_iter) == stops_on_tol
         assert len(calls) == result.iterations + (0 if stops_on_tol else 1)
+
+
+class TestBlockedPass:
+    """The pass over blocks of ``_BLOCK`` points: its seams, its recompute, its memory and its E-step count."""
+
+    @pytest.mark.parametrize("fit, kwargs", [(gmm_fit, {}), (tmm_fit, {}), (tmm_fit, {"fixed_nu": 5.0})],
+                             ids=["gmm", "tmm", "tmm-fixed-nu"])
+    @pytest.mark.parametrize("p", [3, 8], ids=["packed", "weighted-copy"])  # K=4: p < 2K and p >= 2K
+    def test_block_seams_keep_the_one_block_fit(self, monkeypatch, fit, kwargs, p):
+        # blocks of 7 cut the 120 points into 18 blocks, the last one short, and the labels take one more pass
+        d = generate_gaussian_blobs(4, 30, p, cluster_std=1.2, seed=8)
+        cfg = BaselineConfig(seed=4, init="kmeanspp", max_iter=80)
+        whole, whole_model = fit(d, 4, cfg, **kwargs)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _maha_logdet(*args)
+
+        monkeypatch.setattr(mixtures, "_BLOCK", 7)
+        monkeypatch.setattr(mixtures, "_maha_logdet", counting)
+        blocked, model = fit(d, 4, cfg, **kwargs)
+        # one E-step per pass; the labels pass reuses the last one
+        assert blocked.iterations == whole.iterations == len(calls) - (whole.iterations == cfg.max_iter)
+        assert np.array_equal(blocked.labels, whole.labels)
+        scale = np.abs(d.samples).max()
+        assert np.abs(blocked.centers - whole.centers).max() <= 1e-10 * scale
+        assert np.abs(model.covariances - whole_model.covariances).max() <= 1e-10 * scale**2
+        assert model.weights == pytest.approx(whole_model.weights, rel=1e-10)
+        assert (model.nu is None) == (fit is gmm_fit) and model.nu == pytest.approx(whole_model.nu, rel=1e-10)
+
+    def test_only_flagged_components_are_recomputed(self):
+        # three tight clusters far from the mean and one wide cluster at it: only the tight ones cancel
+        rng = np.random.default_rng(7)
+        centers = np.array([[-1e3, 0.0], [1e3, 5.0], [0.0, 1e3], [0.0, 0.0]])
+        labels = np.repeat(np.arange(4), 50)
+        x = centers[labels] + rng.normal(0, 1e-6, (200, 2)) * np.where(labels == 3, 1e7, 1.0)[:, None]
+        r = np.zeros((200, 4))
+        r[np.arange(200), labels] = 1.0
+        mom, sums, outer, rerun = _moment_sums(x, r, 7)
+        seen = []
+
+        def recording():
+            for s, t, w in rerun():
+                seen.append(t - s)
+                yield s, t, w
+
+        _, covs = _scatter(mom, sums, outer, r.sum(axis=0), 0.0, recording)
+        _, plain = _scatter(mom, sums, outer, r.sum(axis=0), 0.0, lambda: iter(()))
+        assert sum(seen) == 200  # one more pass over every block
+        _, ref = _centered_scatter(x, r, r.sum(axis=0), r.sum(axis=0), 0.0)
+        # the wide component keeps its moment form; the tight ones are recomputed centered
+        assert np.array_equal(covs[3], plain[3])
+        variance = np.diagonal(ref, axis1=1, axis2=2).max(axis=1)
+        assert (np.abs(covs - ref) <= 1e-6 * variance[:, None, None]).all()
+        assert (np.abs(plain[:3] - ref[:3]) > 1e-3 * variance[:3, None, None]).any()
+
+    @pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
+    def test_peak_memory_holds_no_n_by_k_matrix(self, fit):
+        # 50,000 x 2, K=50: one (N, K) matrix is 20 MB, and the whole-data E- and M-steps peaked at 122-202 MB
+        d = generate_gaussian_blobs(50, 1000, 2, seed=0)
+        tracemalloc.start()
+        try:
+            fit(d, 50, BaselineConfig(seed=0, max_iter=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestLoopPaths:
