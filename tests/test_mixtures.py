@@ -11,7 +11,7 @@ from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
 from tkmeans import mixtures
 from tkmeans.errors import DomainError, NumericalError
 from tkmeans.metrics import adjusted_rand_index
-from tkmeans.mixtures import _add_moments, _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
+from tkmeans.mixtures import MixtureModel, _add_moments, _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
 from tkmeans.specialfn import _log_normalize, log_sum_exp
 
 
@@ -48,7 +48,7 @@ def _whitened_sq(x, means, covs):
     mom = _row_moments(x, k)
     op, logdet = _maha_logdet(means, covs, mom.c)
     y = op @ mom.cols[: p + 1]
-    return (y * y).reshape(k, p, x.shape[0]).sum(axis=1).T, logdet, mom.c
+    return (y * y).reshape(p, k, x.shape[0]).sum(axis=0).T, logdet, mom.c
 
 
 class TestMahaLogdet:
@@ -303,6 +303,21 @@ class TestBlockedPass:
         variance = np.diagonal(ref, axis1=1, axis2=2).max(axis=1)
         assert (np.abs(covs - ref) <= 1e-6 * variance[:, None, None]).all()
         assert (np.abs(plain[:3] - ref[:3]) > 1e-3 * variance[:3, None, None]).any()
+
+    def test_gaussian_responsibilities_below_the_normal_range_are_zero(self):
+        # two far components: at a point near one, the other's exp(log_r - max) would be a subnormal
+        x = np.concatenate([np.linspace(-0.5, 0.5, 40), 38.0 + np.linspace(-0.5, 0.5, 40)])[:, None]
+        means, covs = np.array([[0.0], [38.0]]), np.ones((2, 1, 1))
+        mom = _row_moments(x, 2)
+        e = mixtures._e_step(np.full(2, 0.5), means, covs, None, mom.c)
+        bufs = [np.empty(2 * 80), np.empty(2 * 80)]
+        row_ll, r, w, _ = mixtures._e_block(mom.cols, e, bufs)
+        log_r = _per_component_log_resp(x, MixtureModel(np.full(2, 0.5), means, covs)).T
+        z = log_r - log_r.max(axis=0)
+        band = (z < math.log(np.finfo(float).tiny)) & (np.exp(z) > 0.0)
+        assert band.any() and (r[band] == 0.0).all() and w is r
+        assert np.allclose(row_ll, log_sum_exp(log_r.T, axis=1), rtol=1e-14, atol=0.0)
+        assert np.allclose(r[~band], np.exp(log_r - row_ll)[~band], rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
     def test_peak_memory_holds_no_n_by_k_matrix(self, fit):
