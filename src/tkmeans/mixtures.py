@@ -149,7 +149,7 @@ def _row_moments(x: np.ndarray, k: int) -> _Moments:
     weighted sums of ``x - c``, the mass and, through ``phi``, the packed
     second moments about ``c``.  ``phi`` holds N p(p+1)/2 floats, so its
     memory grows as p^2; it is built only when p < 2K, where it is no
-    larger than one (K*p, N) whitening of the data.  Wider data form their
+    larger than one (p*K, N) whitening of the data.  Wider data form their
     second moments from a block's weighted copy (``_add_moments``).  A
     squared entry that overflows raises ``NumericalError``; every product
     in ``phi`` is bounded by the larger of two such squares.
@@ -214,10 +214,10 @@ def _e_block(cols: np.ndarray, e, bufs):
     ``log r`` is formed and normalized in place in ``bufs[1]`` (one ``exp``
     pass, on its transposed view), so ``r`` is (K, B).  The Gaussian fit
     first sets to -inf each ``log r`` more than -ln(tiny) below its
-    point's largest, and weights by ``r``.  The t fit keeps the distances in ``bufs[2]``,
-    overwrites them with ``u = (nu+p)/(nu+maha)`` and then ``w = r * u``,
-    and keeps ``log1p(maha/nu)`` in ``bufs[3]``; it returns None there
-    for the Gaussian fit.
+    point's largest, and weights by ``r``.  The t fit keeps the distances
+    in ``bufs[2]``, overwrites them with ``u = (nu+p)/(nu+maha)`` and then
+    ``w = r * u``, and keeps ``log1p(maha/nu)`` in ``bufs[3]``; it returns
+    None there for the Gaussian fit.
     """
     op, scale, bias, nu = e
     k, b = bias.shape[0], cols.shape[1]
