@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -116,14 +117,15 @@ NU_START = 3.0  # where a free-nu EM starts
 NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_from_sums in tmm_fit, and FitConfig.nu_bounds' default
 
 
+@functools.lru_cache(maxsize=64)
+def _log_t_nu_part(p: int, nu: float) -> float:
+    """The ``nu``-only part of ``log_t_const``, once per (p, nu): an EM stage holds ``nu`` for many E-steps."""
+    return log_gamma((nu + p) / 2.0) - log_gamma(nu / 2.0) - 0.5 * p * math.log(nu * math.pi)
+
+
 def log_t_const(p: int, alpha: float, nu: float) -> float:
     """The distance-free part of ln t at scale ``alpha * I``; ``tmm_fit`` adds each log-determinant to ``alpha = 1``'s."""
-    return (
-        log_gamma((nu + p) / 2.0)
-        - log_gamma(nu / 2.0)
-        - 0.5 * p * math.log(nu * math.pi)
-        - 0.5 * p * math.log(alpha)
-    )
+    return _log_t_nu_part(p, nu) - 0.5 * p * math.log(alpha)
 
 
 def log_u_offset(nu: float, p: int) -> float:
@@ -132,17 +134,19 @@ def log_u_offset(nu: float, p: int) -> float:
     return math.log((nu + p) / nu) + digamma(half) - math.log(half)
 
 
-def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, nu_bounds, healthy: np.ndarray) -> float:
+def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, nu_bounds, healthy: np.ndarray | None = None) -> float:
     """Closed-form degrees-of-freedom update shared by the t-model fits, from per-component sums.
 
     ``tau_diff[j] = sum_i tau_ij (E ln u_ij - u_ij)`` and ``tau_mass[j] =
     sum_i tau_ij``.  ``eta = 1 + mean_j tau_diff[j] / tau_mass[j]`` over
-    the ``healthy`` components, and ``nu = -1/eta`` clamped to
-    ``nu_bounds``; a non-negative eta would give a non-positive nu and
-    clamps to the upper bound.
+    the ``healthy`` components (all of them when None), and ``nu =
+    -1/eta`` clamped to ``nu_bounds``; a non-negative eta would give a
+    non-positive nu and clamps to the upper bound.
     """
-    terms = tau_diff[healthy] / tau_mass[healthy]
-    eta = 1.0 + float(terms.mean())
+    if healthy is not None and not healthy.all():
+        tau_diff, tau_mass = tau_diff[healthy], tau_mass[healthy]
+    terms = tau_diff / tau_mass
+    eta = 1.0 + float(terms.sum()) / terms.size
     lo, hi = nu_bounds
     return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
 

@@ -4,7 +4,8 @@ All fits are deterministic for a fixed seed, break assignment ties toward
 the lowest center index, and re-seed empty clusters to the point farthest
 from its assigned center.  k-means and k-means++ work in squared
 Euclidean distance; k-medoids and k-medians work in Manhattan (L1)
-distance, with the alternating Voronoi update rather than full PAM swaps.
+distance, with the alternating Voronoi update rather than full PAM swaps;
+each medoid is exact, from one sort of its cluster per coordinate.
 These fits and ``core.fit_fast`` share one sweep loop,
 ``_util.hard_assignment_loop``, over one distance block of the data per
 fit for squared distances.  k-means and k-medians stop when the assignment
@@ -90,33 +91,36 @@ def kmeans_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Clus
     return _alternate(data, k, cfg, "sq", _util.cluster_means)
 
 
-# entries of each of _medoid_of's two row-block buffers: 16 MB apiece, one block up to 1448 members
-_MEDOID_BLOCK = 1 << 21
-
-
 def _medoid_of(x: np.ndarray, members: np.ndarray) -> int:
     """Member index minimizing total L1 distance to the cluster; lowest index on ties.
 
-    The total distances come one block of rows at a time, and each
-    block's L1 matrix is accumulated one coordinate at a time, so two
-    buffers of at most ``_MEDOID_BLOCK`` entries (or one row, if a row is
-    longer) are the only temporaries, whatever the cluster size and p are.
-    Each row sum depends on its row alone, so the blocking does not change
-    the result.
+    The L1 total separates by coordinate, so one sort per coordinate gives
+    every member's exact total in O(p n log n) time and O(p n) memory, with
+    no n x n matrix.  With the n sorted values' gaps ``g_k = v_(k+1) -
+    v_k``, the member of rank r totals ``sum_(k<r) (k+1) g_k + sum_(k>=r)
+    (n-1-k) g_k``, a forward and a reverse cumulative sum.  Gaps, not
+    prefix sums of the values, make coincident members' totals equal bit
+    for bit (a zero gap adds exactly 0), so the lowest index of a tie
+    wins, and a two-member cluster ties exactly.  The coordinates' totals
+    are added in order.  Members whose true totals tie, or nearly tie,
+    resolve by rounding, as any floating-point sum does.
     """
     n = members.shape[0]
-    rows = max(1, _MEDOID_BLOCK // n)
-    totals = np.empty(n)
-    d1 = np.empty((min(rows, n), n))
-    buf = np.empty_like(d1)
-    for start in range(0, n, rows):
-        block, scratch = d1[: n - start], buf[: n - start]
-        block[...] = 0.0
-        for a in range(x.shape[1]):
-            col = x[members, a]
-            np.subtract(col[start : start + rows, None], col[None, :], out=scratch)
-            block += np.abs(scratch, out=scratch)
-        np.sum(block, axis=1, out=totals[start : start + rows])
+    pts = x[members].T
+    coords = np.arange(pts.shape[0])[:, None]
+    order = pts.argsort(axis=1, kind="stable")
+    ranked = pts[coords, order]
+    gaps = ranked[:, 1:] - ranked[:, :-1]
+    # the gap after rank k is crossed by the k+1 members at or below it and the n-1-k above it
+    counts = np.arange(1.0, n)
+    np.multiply(gaps, counts, out=ranked[:, 1:]).cumsum(axis=1, out=ranked[:, 1:])
+    ranked[:, 0] = 0.0
+    gaps *= counts[::-1]
+    ranked[:, :-1] += gaps[:, ::-1].cumsum(axis=1)[:, ::-1]
+    per_coord = np.empty_like(ranked)
+    per_coord[coords, order] = ranked
+    # a sum over the first axis adds the coordinates in order
+    totals = per_coord.sum(axis=0)
     return int(members[int(np.argmin(totals))])
 
 
@@ -124,8 +128,9 @@ def kmedoids_fit(data: Dataset, k: int, cfg: BaselineConfig | None = None) -> Cl
     """Alternating (Voronoi) k-medoids under L1 distance.
 
     Assign each point to the nearest medoid, then make each cluster's
-    medoid the member minimizing the total L1 distance to its cluster.
-    Stops when the medoid indices, not just their coordinates, repeat.
+    medoid the member minimizing the total L1 distance to its cluster
+    (``_medoid_of``: O(p n_j log n_j) time, no n_j x n_j matrix).  Stops
+    when the medoid indices, not just their coordinates, repeat.
     """
     cfg = cfg or BaselineConfig()
     k = _util.check_k(k, data.n)

@@ -204,6 +204,17 @@ def _e_step(weights: np.ndarray, means: np.ndarray, covs: np.ndarray, nu, c: np.
     return op, -0.5 * (nu + p), (np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet)[:, None], nu
 
 
+def _sum_slabs(y: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Sum the p (K, B) slabs of ``y`` into ``out`` in order, as ``np.sum(axis=0)`` does, bit for bit."""
+    k = out.shape[0]
+    if p == 1:
+        np.copyto(out, y)
+    else:
+        np.add(y[:k], y[k : 2 * k], out=out)
+    for a in range(2, p):
+        out += y[a * k : (a + 1) * k]
+
+
 def _e_block(cols: np.ndarray, e, bufs):
     """E-step of one block; returns its row log-likelihoods, ``r``, the weights ``w`` and ``log1p(maha/nu)``.
 
@@ -227,7 +238,7 @@ def _e_block(cols: np.ndarray, e, bufs):
     np.matmul(op, cols[: p + 1], out=y)
     y *= y
     if nu is None:
-        np.sum(y.reshape(p, k, b), axis=0, out=log_r)
+        _sum_slabs(y, p, log_r)
         log_r *= scale
         log_r += bias
         # a Gaussian's log density falls quadratically, so far components land below ln(tiny) under their
@@ -238,7 +249,7 @@ def _e_block(cols: np.ndarray, e, bufs):
         row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
         return row_ll, log_r, log_r, None
     maha, lp = _util.block_view(bufs[2], k, b), _util.block_view(bufs[3], k, b)
-    np.sum(y.reshape(p, k, b), axis=0, out=maha)
+    _sum_slabs(y, p, maha)
     np.log1p(np.divide(maha, nu, out=lp), out=lp)
     np.multiply(lp, scale, out=log_r)
     log_r += bias
@@ -382,7 +393,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
             means, covs = _scatter(mom, sums, outer, nk, ridge_v,
                                    lambda: ((s, t, w) for s, t, _, _, _, w, _ in _e_blocks(mom, e, bufs)))
             if free_nu:
-                nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk, _util.NU_BOUNDS, np.ones(k, dtype=bool))
+                nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk, _util.NU_BOUNDS)
         e = _e_step(weights, means, covs, nu, mom.c)
         ll = _pass(mom, e, bufs, sums, outer, free_nu)
     if n <= _BLOCK:

@@ -103,32 +103,64 @@ class TestMedoidOf:
         pts = x[members]
         return int(members[int(np.argmin(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).sum(axis=1)))])
 
-    def test_blocks_of_rows_give_the_full_matrix_medoid(self, monkeypatch):
-        from tkmeans import baselines
-
+    def test_sorted_gaps_give_the_full_matrix_medoid(self):
         rng = np.random.default_rng(5)
         cases = [(rng.normal(0, 2, (400, p)), np.flatnonzero(rng.random(400) < 0.6)) for p in (1, 2, 4)]
+        # far from the origin: the gaps between sorted neighbours stay exact where raw sums would not
+        cases += [(1e6 + rng.normal(0, 1, (300, p)), np.arange(0, 300, 2)) for p in (2, 3)]
         # a tie between the two middle points goes to the lower index
         cases.append((np.array([[0.0], [1.0], [2.0], [3.0]]), np.arange(4)))
-        for block in (1, 7, 100, 1000, baselines._MEDOID_BLOCK):
-            monkeypatch.setattr(baselines, "_MEDOID_BLOCK", block)
-            for x, members in cases:
-                assert _medoid_of(x, members) == self._full_matrix_medoid(x, members)
+        for x, members in cases:
+            assert _medoid_of(x, members) == self._full_matrix_medoid(x, members)
         assert _medoid_of(*cases[-1]) == 1
 
-    def test_memory_is_bounded_by_the_row_blocks(self):
-        from tkmeans import baselines
+    def test_coincident_members_tie_exactly_and_the_first_listed_wins(self):
+        rng = np.random.default_rng(8)
+        for p in (1, 2, 5):
+            pts = rng.normal(0, 1, (9, p))
+            best = self._full_matrix_medoid(pts, np.arange(9))
+            # two more copies of the medoid keep it the medoid, and all three copies total the same
+            x = np.vstack([pts, pts[[best, best]]])
+            members = np.array([10, 9, *range(9)])
+            assert _medoid_of(x, members) == 10 == self._full_matrix_medoid(x, members)
+            assert _medoid_of(x, np.arange(11)) == best
+        # every member the same point: all totals are 0
+        assert _medoid_of(np.ones((6, 3)), np.array([4, 2, 5])) == 4
 
-        # one 3000-point cluster: two full 3000 x 3000 buffers would take 144 MB
-        n = 3000
-        x = np.random.default_rng(6).normal(0, 1, (n, 2))
+    def test_a_two_member_cluster_ties_exactly(self):
+        for x in (np.array([[0.1, 7.3], [0.7, -2.9]]), 1e6 + np.array([[0.1], [0.3]])):
+            assert _medoid_of(x, np.arange(2)) == 0
+            assert _medoid_of(x, np.array([1, 0])) == 1
+
+    def test_memory_is_linear_in_the_cluster_size(self):
+        # one 3000-point cluster: an n x n buffer alone would take 72 MB
+        n, p = 3000, 2
+        x = np.random.default_rng(6).normal(0, 1, (n, p))
         tracemalloc.start()
         try:
             _medoid_of(x, np.arange(n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * baselines._MEDOID_BLOCK * 8 + 4 * n * 8 + 64 * 1024
+        assert peak < 16 * n * p * 8 + 64 * 1024
+
+    def test_one_20000_point_cluster_peaks_below_4_mb(self):
+        # the n x n L1 matrix summed in row blocks peaked at about 34 MB here
+        n = 20_000
+        x = np.random.default_rng(7).normal(0, 1, (n, 2))
+        members = np.arange(n)
+        tracemalloc.start()
+        try:
+            best = _medoid_of(x, members)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # no member of a sample, the coordinate-wise median's nearest included, totals less
+        total = lambda i: np.abs(x - x[i]).sum()
+        near = int(np.argmin(np.abs(x - np.median(x, axis=0)).sum(axis=1)))
+        sample = np.append(np.random.default_rng(8).choice(n, 300, replace=False), near)
+        assert total(best) <= min(total(i) for i in sample)
 
 
 class TestKmedoids:

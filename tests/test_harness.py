@@ -193,6 +193,29 @@ class TestEveryAlgorithm:
         _assert_finite_or_a_typed_error(spec, data, seed)
 
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        algorithm=st.sampled_from(("kmedoids", "kmedians")),
+        init=st.sampled_from(("random", "kmeanspp")),
+        distinct=st.integers(1, 12),
+        duplicates=st.integers(0, 12),
+        p=st.integers(1, 4),
+        k_is_n=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-150.0, 150.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l1_baselines_out_to_the_float64_limits(
+        self, algorithm, init, distinct, duplicates, p, k_is_n, k_share, log_scale, offset, seed
+    ):
+        # the medoid totals multiply sorted gaps by member counts; k-means++ seeding squares the distances
+        data = _points(distinct, duplicates, p, offset * 10.0**log_scale, log_scale, seed)
+        k = data.n if k_is_n else 1 + int(k_share * (data.n - 1))
+        spec = RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50, init=init)
+        _assert_finite_or_a_typed_error(spec, data, seed)
+
+
 class TestRunBench:
     def test_each_string_source_resolves_once_into_read_only_data(self, monkeypatch):
         other = "blobs:k=3,n=20,p=2,std=0.5,box=10,seed=8"

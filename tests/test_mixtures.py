@@ -252,6 +252,15 @@ class TestEStepCount:
 class TestBlockedPass:
     """The pass over blocks of ``_BLOCK`` points: its seams, its recompute, its memory and its E-step count."""
 
+    def test_slab_sums_match_numpys_sum_over_the_first_axis(self):
+        rng = np.random.default_rng(12)
+        for p in range(1, 65):
+            for k, b in ((3, 150), (15, 37)):
+                y = rng.random((p * k, b)) * 10.0 ** rng.integers(-6, 6, (p * k, 1))
+                out = np.empty((k, b))
+                mixtures._sum_slabs(y, p, out)
+                assert np.array_equal(out, y.reshape(p, k, b).sum(axis=0))
+
     @pytest.mark.parametrize("fit, kwargs", [(gmm_fit, {}), (tmm_fit, {}), (tmm_fit, {"fixed_nu": 5.0})],
                              ids=["gmm", "tmm", "tmm-fixed-nu"])
     @pytest.mark.parametrize("p", [3, 8], ids=["packed", "weighted-copy"])  # K=4: p < 2K and p >= 2K

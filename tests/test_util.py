@@ -152,6 +152,32 @@ class TestClusterMeans:
         assert np.array_equal(_util.cluster_means(x, assign, k), expected)
 
 
+
+class TestTModelPieces:
+    def test_nu_from_sums_averages_the_healthy_components(self):
+        rng = np.random.default_rng(9)
+        diff, mass = -rng.random(5) * 3.0, 0.5 + rng.random(5)
+        every = _util.nu_from_sums(diff, mass, (0.01, 200.0))
+        assert every == -1.0 / (1.0 + float((diff / mass).mean()))
+        assert _util.nu_from_sums(diff, mass, (0.01, 200.0), np.ones(5, dtype=bool)) == every
+        healthy = np.array([True, False, True, True, False])
+        terms = diff[healthy] / mass[healthy]
+        assert _util.nu_from_sums(diff, mass, (0.01, 200.0), healthy) == -1.0 / (1.0 + float(terms.mean()))
+        # a non-negative eta clamps to the upper bound
+        assert _util.nu_from_sums(np.ones(2), np.ones(2), (1.0, 200.0)) == 200.0
+
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    def test_log_t_const_keeps_its_left_to_right_bits(self, p):
+        from math import log, pi
+
+        from tkmeans.specialfn import log_gamma
+
+        for nu in (1.0, 3.0, 7.25, 200.0):
+            for alpha in (1.0, 0.3, 4e-7):
+                expected = log_gamma((nu + p) / 2.0) - log_gamma(nu / 2.0) - 0.5 * p * log(nu * pi)
+                expected -= 0.5 * p * log(alpha)
+                assert _util.log_t_const(p, alpha, nu) == expected
+
 def _iris(iris_path):
     return standardize(load_csv_labeled(iris_path))[0]
 
