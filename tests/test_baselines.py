@@ -145,7 +145,7 @@ class TestMedoidOf:
         assert peak < 16 * n * p * 8 + 64 * 1024
 
     def test_one_20000_point_cluster_peaks_below_4_mb(self):
-        # the n x n L1 matrix summed in row blocks peaked at about 34 MB here
+        # an n x n matrix of float64 would take 3.2 GB; the sorted form holds a few (p, n) arrays
         n = 20_000
         x = np.random.default_rng(7).normal(0, 1, (n, 2))
         members = np.arange(n)
@@ -157,10 +157,10 @@ class TestMedoidOf:
             tracemalloc.stop()
         assert peak < 4e6
         # no member of a sample, the coordinate-wise median's nearest included, totals less
-        total = lambda i: np.abs(x - x[i]).sum()
         near = int(np.argmin(np.abs(x - np.median(x, axis=0)).sum(axis=1)))
         sample = np.append(np.random.default_rng(8).choice(n, 300, replace=False), near)
-        assert total(best) <= min(total(i) for i in sample)
+        totals = [np.abs(x - x[i]).sum() for i in (best, *sample)]
+        assert totals[0] <= min(totals[1:])
 
 
 class TestKmedoids:
