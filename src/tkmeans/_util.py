@@ -114,7 +114,7 @@ def converged(loss: float, prev: float | None, tol: float) -> bool:
 
 
 NU_START = 3.0  # where a free-nu EM starts
-NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_from_sums in tmm_fit, and FitConfig.nu_bounds' default
+NU_BOUNDS = (1.0, 200.0)  # the clamp of nu_from_sums; fit's warm stage holds nu at the upper bound
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,20 +134,20 @@ def log_u_offset(nu: float, p: int) -> float:
     return math.log((nu + p) / nu) + digamma(half) - math.log(half)
 
 
-def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, nu_bounds, healthy: np.ndarray | None = None) -> float:
+def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, healthy: np.ndarray | None = None) -> float:
     """Closed-form degrees-of-freedom update shared by the t-model fits, from per-component sums.
 
     ``tau_diff[j] = sum_i tau_ij (E ln u_ij - u_ij)`` and ``tau_mass[j] =
     sum_i tau_ij``.  ``eta = 1 + mean_j tau_diff[j] / tau_mass[j]`` over
     the ``healthy`` components (all of them when None), and ``nu =
-    -1/eta`` clamped to ``nu_bounds``; a non-negative eta would give a
+    -1/eta`` clamped to ``NU_BOUNDS``; a non-negative eta would give a
     non-positive nu and clamps to the upper bound.
     """
     if healthy is not None and not healthy.all():
         tau_diff, tau_mass = tau_diff[healthy], tau_mass[healthy]
     terms = tau_diff / tau_mass
     eta = 1.0 + float(terms.sum()) / terms.size
-    lo, hi = nu_bounds
+    lo, hi = NU_BOUNDS
     return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .errors import DomainError, FormatError, NumericalError, UsageError
 from .harness import ALGORITHMS, RunSpec, load_config, run_bench, run_once, run_robustness
@@ -111,7 +111,7 @@ def _cmd_run(args) -> int:
         "data": spec.data,
         "k": spec.k,
         "seed": args.seed,
-        "metrics": {"ari": report.ari, "mse": report.mse, "wb": report.wb},
+        "metrics": asdict(report),
         "iterations": result.iterations,
         "wall_time_sec": result.wall_time,
         "loss_trace": [float(v) for v in result.loss_trace],

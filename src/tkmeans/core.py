@@ -103,33 +103,31 @@ class EStepResult:
     log_u_expect: np.ndarray  # E(ln u), carried for the nu update
 
 
+_ALPHA_FLOOR = 1e-12  # the floor of every estimate of the shared scale alpha
+
+
 @dataclass(frozen=True)
 class FitConfig(BaselineConfig):
     """Knobs for ``fit`` and ``fit_fast``: the shared ``BaselineConfig`` ones plus these.
 
     ``init`` is "random" (distinct data points), "kmeanspp", or an
     explicit (K, p) array.  ``fixed_nu`` freezes the degrees of freedom
-    (the fast variant defaults it to 1).  ``fast_alpha`` is the small
-    constant guarding the d^2 = 0 singularity of the fast weights; large
-    values make the fast update degenerate to the plain mean on purpose.
+    (the fast variant defaults it to 1); a free ``nu`` stays within
+    [1, 200] (``_util.NU_BOUNDS``) and ``alpha`` at or above 1e-12.
+    ``fast_alpha`` is the small constant guarding the d^2 = 0 singularity
+    of the fast weights; large values make the fast update degenerate to
+    the plain mean on purpose.
     """
 
     fixed_nu: float | None = None
-    alpha_floor: float = 1e-12
-    nu_bounds: tuple[float, float] = _util.NU_BOUNDS
     fast_alpha: float = 1e-8
 
     def __post_init__(self):
         super().__post_init__()
         if self.fixed_nu is not None and not 0 < self.fixed_nu < math.inf:
             raise DomainError(f"fixed_nu must be finite and > 0, got {self.fixed_nu}")
-        if not 0 < self.alpha_floor < math.inf:
-            raise DomainError(f"alpha_floor must be finite and > 0, got {self.alpha_floor}")
         if not 0 < self.fast_alpha < math.inf:
             raise DomainError(f"fast_alpha must be finite and > 0, got {self.fast_alpha}")
-        lo, hi = self.nu_bounds
-        if not (1.0 <= lo <= hi < math.inf):
-            raise DomainError(f"nu_bounds must satisfy 1 <= lo <= hi < inf, got {self.nu_bounds}")
 
 
 def log_t_density(x, center, alpha: float, nu: float) -> float:
@@ -244,11 +242,11 @@ def _m_step_from_sums(sums: np.ndarray, mean, model: TkModel, cfg: FitConfig, po
         alpha = float(np.maximum(within, 0.0).sum() / (p * tau_mass.sum()))
     if not (np.isfinite(centers).all() and math.isfinite(alpha)):
         raise NumericalError("the M-step's weighted sums overflow float64; rescale the data")
-    alpha = max(alpha, cfg.alpha_floor)
+    alpha = max(alpha, _ALPHA_FLOOR)
     if cfg.fixed_nu is not None:
         nu = model.nu
     else:
-        nu = _util.nu_from_sums(tau_log_u - mass, tau_mass, cfg.nu_bounds, healthy)
+        nu = _util.nu_from_sums(tau_log_u - mass, tau_mass, healthy)
     return TkModel(centers, alpha, nu)
 
 
@@ -283,9 +281,9 @@ def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkM
     Centers move to their tau*u weighted means; a component whose weight
     mass vanished is re-seeded to the sample with the lowest maximum
     responsibility.  ``alpha`` is re-estimated against the new centers and
-    floored; ``nu`` stays fixed when requested, otherwise it follows the
-    closed-form approximation, clamped to ``nu_bounds`` (a non-negative
-    eta would produce a non-positive nu and clamps to the upper bound).
+    floored at 1e-12; ``nu`` stays fixed when requested, otherwise it
+    follows the closed-form approximation, clamped to [1, 200] (a
+    non-negative eta would produce a non-positive nu and clamps to 200).
     The sums are those of a pass with the whole data as one block.
     """
     k, p = model.k, model.p
@@ -352,7 +350,7 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
     alpha0 = total / n / data.p
     if not math.isfinite(alpha0):
         raise NumericalError("squared distances to the initial centers overflow float64; rescale the data")
-    return TkModel(centers, max(alpha0, cfg.alpha_floor), nu0)
+    return TkModel(centers, max(alpha0, _ALPHA_FLOOR), nu0)
 
 
 def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False, labels=None) -> float:
@@ -410,14 +408,14 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     by p.  With ``fixed_nu`` set, E- and M-steps iterate at that ``nu``
     until the relative change of the loss trace drops below ``tol`` or
     ``max_iter`` is reached.  Otherwise the fit runs in two stages: a warm
-    stage holds ``nu`` at ``nu_bounds[1]`` (near-Gaussian tails) until
-    the loss meets ``tol``; then ``nu`` restarts at 3 from the warm
+    stage holds ``nu`` at 200, the upper bound of ``nu`` (near-Gaussian
+    tails), until the loss meets ``tol``; then ``nu`` restarts at 3 from the warm
     centers and ``alpha`` and is re-estimated every iteration until the
     loss meets ``tol`` again.  Heavy tails fitted from the first step let
     one component absorb two true clusters while two others split a
     third, a genuine EM fixed point; the warm stage settles the centers
     first.  Both stages share one ``max_iter`` budget and one loss trace,
-    so a budget spent in the warm stage returns ``nu = nu_bounds[1]``.
+    so a budget spent in the warm stage returns ``nu = 200``.
     The trace carries the observed-data negative log likelihood of each
     iteration's model, which is non-increasing while ``nu`` is fixed.
     Hard labels are the argmax responsibilities under the final model:
@@ -429,7 +427,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
 
     start = time.perf_counter()
     x, n = data.samples, data.n
-    nu0 = cfg.nu_bounds[1] if cfg.fixed_nu is None else cfg.fixed_nu
+    nu0 = _util.NU_BOUNDS[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
     rows, mean = block = _util.distance_block(x)
     bufs = [np.empty(k * min(n, _BLOCK)) for _ in range(3)]

@@ -17,11 +17,13 @@ PCG64 generator, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._util import as_int, check_seed
 from .errors import DomainError, FormatError
 
 __all__ = [
@@ -92,10 +94,9 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise DomainError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
-        if self.box_expansion < 1.0:
-            raise DomainError(f"box_expansion must be >= 1, got {self.box_expansion}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 1.0 <= self.box_expansion < math.inf:
+            raise DomainError(f"box_expansion must be finite and >= 1, got {self.box_expansion}")
+        check_seed(self.seed)
 
 
 def _dense_remap(raw) -> np.ndarray:
@@ -245,13 +246,21 @@ def generate_gaussian_blobs(
 
     Centers are uniform over [-center_box, center_box]^p; each center then
     receives ``per_cluster`` points with the given standard deviation.
-    Labels record the generating component.
+    Labels record the generating component.  Counts must be integers >= 1,
+    ``seed`` an integer >= 0, ``cluster_std`` finite and > 0 and
+    ``center_box`` >= 0 with ``2 * center_box`` finite; anything else
+    raises ``DomainError``.
     """
-    if n_clusters < 1 or per_cluster < 1 or n_features < 1:
+    n_clusters, per_cluster, n_features = (
+        as_int("n_clusters", n_clusters), as_int("per_cluster", per_cluster), as_int("n_features", n_features)
+    )
+    if min(n_clusters, per_cluster, n_features) < 1:
         raise DomainError("n_clusters, per_cluster and n_features must all be >= 1")
-    if cluster_std <= 0:
-        raise DomainError(f"cluster_std must be > 0, got {cluster_std}")
-    rng = np.random.default_rng(seed)
+    if not 0 < cluster_std < math.inf:
+        raise DomainError(f"cluster_std must be finite and > 0, got {cluster_std}")
+    if not 0.0 <= 2.0 * center_box < math.inf:
+        raise DomainError(f"center_box must be finite and >= 0, and 2 * center_box finite, got {center_box}")
+    rng = np.random.default_rng(check_seed(seed))
     centers = rng.uniform(-center_box, center_box, size=(n_clusters, n_features))
     samples = np.concatenate(
         [c + cluster_std * rng.standard_normal((per_cluster, n_features)) for c in centers]
@@ -267,7 +276,8 @@ def contaminate(d: Dataset, spec: ContaminationSpec) -> Dataset:
     data bounding box expanded by ``box_expansion`` about its center and
     appended after the original samples, which are preserved verbatim.
     The appended points share one new label id so that evaluation can
-    include or exclude them explicitly.
+    include or exclude them explicitly.  A box whose width overflows
+    float64 raises ``DomainError``.
     """
     m = int(round(spec.outlier_fraction * d.n))
     if m == 0:
@@ -277,9 +287,13 @@ def contaminate(d: Dataset, spec: ContaminationSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     lo = d.samples.min(axis=0)
     hi = d.samples.max(axis=0)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * spec.box_expansion
-    outliers = rng.uniform(center - half, center + half, size=(m, d.p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * spec.box_expansion
+        low, high = center - half, center + half
+        if not np.isfinite(high - low).all():
+            raise DomainError("the outlier box overflows float64; lower box_expansion or rescale the data")
+    outliers = rng.uniform(low, high, size=(m, d.p))
     samples = np.concatenate([d.samples, outliers])
     labels = np.concatenate([d.labels, np.full(m, d.n_classes, dtype=np.int64)])
     return Dataset(samples, labels, d.name)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,9 +186,23 @@ def run_once(spec: RunSpec, seed: int, data: Dataset | None = None):
     return result, MetricReport(ari, mse, wb)
 
 
+# The report's metrics in column order, read by every output format: the key of the run
+# records and the JSON, the prefix of BenchRow's ``_mean``/``_std`` fields, the CSV header
+# of the mean, the Markdown header and number format, and the pick of the best mean of a
+# dataset, bolded in Markdown (None: never bolded).
+_Metric = namedtuple("_Metric", "key field csv md fmt best")
+_METRICS = (
+    _Metric("ari", "ari", "ari_mean", "ARI (mean±std, n-1)", ".3f", max),
+    _Metric("mse", "mse", "mse_mean", "MSE", ".3f", min),
+    _Metric("wb", "wb", "wb_mean", "W/B", ".3f", min),
+    _Metric("iterations", "iters", "iters_mean", "iters", ".2f", None),
+    _Metric("time_sec", "time", "time_mean_sec", "time (s)", ".4f", None),
+)
+
+
 @dataclass(frozen=True)
 class BenchRow:
-    """Aggregated scores of one (algorithm, dataset) cell."""
+    """Aggregated scores of one (algorithm, dataset) cell; the metric fields follow ``_METRICS``."""
 
     name: str
     algorithm: str
@@ -209,6 +224,15 @@ class BenchRow:
     runs: tuple = field(default_factory=tuple)
 
 
+def _stats(row: BenchRow, m) -> tuple:
+    """The row's (mean, std) of metric ``m``."""
+    return getattr(row, f"{m.field}_mean"), getattr(row, f"{m.field}_std")
+
+
+def _fraction(row: BenchRow, blank: str) -> str:
+    return blank if row.fraction is None else f"{row.fraction:g}"
+
+
 @dataclass(frozen=True)
 class BenchReport:
     """A list of aggregated rows plus renderers for the output formats."""
@@ -226,24 +250,13 @@ class BenchReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
-            [
-                "name", "algorithm", "dataset", "k", "fraction", "repeats",
-                "ari_mean", "ari_std(n-1)", "mse_mean", "mse_std(n-1)",
-                "wb_mean", "wb_std(n-1)", "iters_mean", "iters_std(n-1)",
-                "time_mean_sec", "time_std(n-1)", "error",
-            ]
+            ["name", "algorithm", "dataset", "k", "fraction", "repeats"]
+            + [h for m in _METRICS for h in (m.csv, f"{m.field}_std(n-1)")]
+            + ["error"]
         )
         for r in self.rows:
-            cells = [
-                r.name, r.algorithm, r.dataset, r.k,
-                "" if r.fraction is None else f"{r.fraction:g}",
-                r.repeats,
-            ]
-            for v in (r.ari_mean, r.ari_std, r.mse_mean, r.mse_std, r.wb_mean, r.wb_std,
-                      r.iters_mean, r.iters_std, r.time_mean, r.time_std):
-                cells.append("" if v is None else f"{v:.6g}")
-            cells.append(r.error or "")
-            writer.writerow(cells)
+            stats = ["" if v is None else f"{v:.6g}" for m in _METRICS for v in _stats(r, m)]
+            writer.writerow([r.name, r.algorithm, r.dataset, r.k, _fraction(r, ""), r.repeats, *stats, r.error or ""])
         return buf.getvalue()
 
     def to_markdown(self) -> str:
@@ -252,74 +265,50 @@ class BenchReport:
         The best mean per dataset is bolded: highest ARI, lowest MSE and
         W/B.  Stds carry the sample (N-1) convention.
         """
-        def fmt(mean, std, best):
+        best = {}  # (metric key, dataset, fraction) -> the best mean among the rows without an error
+        for r in self.rows:
+            for m in _METRICS:
+                mean, key = _stats(r, m)[0], (m.key, r.dataset, _fraction(r, ""))
+                if r.error is None and m.best is not None and mean is not None:
+                    best[key] = mean if key not in best else m.best(best[key], mean)
+
+        def cell(r, m):
+            mean, std = _stats(r, m)
             if mean is None:
                 return "-"
-            cell = f"{mean:.3f}±{std:.3f}"
-            return f"**{cell}**" if best else cell
-
-        best: dict[tuple[str, str], float | None] = {}
-        for r in self.rows:
-            if r.error is not None:
-                continue
-            key_d = (r.dataset, "" if r.fraction is None else f"{r.fraction:g}")
-            for metric, value, better in (
-                ("ari", r.ari_mean, max), ("mse", r.mse_mean, min), ("wb", r.wb_mean, min),
-            ):
-                if value is None:
-                    continue
-                cur = best.get((metric, *key_d))
-                best[(metric, *key_d)] = value if cur is None else better(cur, value)
+            text = f"{mean:{m.fmt}}±{std:{m.fmt}}"
+            return f"**{text}**" if best.get((m.key, r.dataset, _fraction(r, ""))) == mean else text
 
         lines = [
-            "| name | algorithm | dataset | K | fraction | ARI (mean±std, n-1) | MSE | W/B | iters | time (s) |",
-            "|---|---|---|---|---|---|---|---|---|---|",
+            "| name | algorithm | dataset | K | fraction | " + " | ".join(m.md for m in _METRICS) + " |",
+            "|---" * (5 + len(_METRICS)) + "|",
         ]
         for r in self.rows:
+            head = f"| {r.name} | {r.algorithm} | {r.dataset} | {r.k} | {_fraction(r, '-')} |"
             if r.error is not None:
-                lines.append(
-                    f"| {r.name} | {r.algorithm} | {r.dataset} | {r.k} | "
-                    f"{'-' if r.fraction is None else f'{r.fraction:g}'} | FAILED: {r.error} | | | | |"
-                )
-                continue
-            key_d = (r.dataset, "" if r.fraction is None else f"{r.fraction:g}")
-            cells = [
-                r.name, r.algorithm, r.dataset, str(r.k),
-                "-" if r.fraction is None else f"{r.fraction:g}",
-                fmt(r.ari_mean, r.ari_std, r.ari_mean is not None and r.ari_mean == best.get(("ari", *key_d))),
-                fmt(r.mse_mean, r.mse_std, r.mse_mean == best.get(("mse", *key_d))),
-                fmt(r.wb_mean, r.wb_std, r.wb_mean == best.get(("wb", *key_d))),
-                f"{r.iters_mean:.2f}±{r.iters_std:.2f}",
-                f"{r.time_mean:.4f}±{r.time_std:.4f}",
-            ]
-            lines.append("| " + " | ".join(cells) + " |")
+                lines.append(f"{head} FAILED: {r.error} |" + " |" * (len(_METRICS) - 1))
+            else:
+                lines.append(f"{head} " + " | ".join(cell(r, m) for m in _METRICS) + " |")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = []
-        for r in self.rows:
-            row = {
+        payload = [
+            {
                 "name": r.name, "algorithm": r.algorithm, "dataset": r.dataset,
                 "k": r.k, "fraction": r.fraction, "repeats": r.repeats,
-                "ari": {"mean": r.ari_mean, "std": r.ari_std},
-                "mse": {"mean": r.mse_mean, "std": r.mse_std},
-                "wb": {"mean": r.wb_mean, "std": r.wb_std},
-                "iterations": {"mean": r.iters_mean, "std": r.iters_std},
-                "time_sec": {"mean": r.time_mean, "std": r.time_std},
+                **{m.key: dict(zip(("mean", "std"), _stats(r, m))) for m in _METRICS},
                 "error": r.error,
                 "runs": list(r.runs),
             }
-            payload.append(row)
+            for r in self.rows
+        ]
         return json.dumps({"rows": payload}, indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "md":
-            return self.to_markdown()
-        if fmt == "json":
-            return self.to_json()
-        raise UsageError(f"unknown format {fmt!r}; expected csv, md or json")
+        renderers = {"csv": self.to_csv, "md": self.to_markdown, "json": self.to_json}
+        if fmt not in renderers:
+            raise UsageError(f"unknown format {fmt!r}; expected csv, md or json")
+        return renderers[fmt]()
 
 
 def _row(spec: RunSpec, dataset: str, fraction, **cells) -> BenchRow:
@@ -339,25 +328,16 @@ def _run_cell(spec: RunSpec, dataset: str, fit_and_score, fraction=None) -> Benc
     try:
         for seed in range(spec.base_seed, spec.base_seed + spec.repeats):
             result, report = fit_and_score(seed)
-            records.append(
-                {
-                    "seed": seed,
-                    "ari": report.ari,
-                    "mse": report.mse,
-                    "wb": report.wb,
-                    "iterations": result.iterations,
-                    "time_sec": result.wall_time,
-                    "loss_trace": [float(v) for v in result.loss_trace],
-                }
-            )
+            records.append({"seed": seed, **asdict(report), "iterations": result.iterations,
+                            "time_sec": result.wall_time, "loss_trace": [float(v) for v in result.loss_trace]})
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return _row(spec, dataset, fraction, error=f"{type(exc).__name__}: {exc}")
     stats = {}  # mean and sample (N-1) std per metric; ARI is absent without ground truth
-    for key, column in (("ari", "ari"), ("mse", "mse"), ("wb", "wb"), ("iterations", "iters"), ("time_sec", "time")):
-        values = np.array([rec[key] for rec in records if rec[key] is not None], dtype=np.float64)
+    for m in _METRICS:
+        values = np.array([rec[m.key] for rec in records if rec[m.key] is not None], dtype=np.float64)
         if values.size:
-            stats[f"{column}_mean"] = float(values.mean())
-            stats[f"{column}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+            stats[f"{m.field}_mean"] = float(values.mean())
+            stats[f"{m.field}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
     return _row(spec, dataset, fraction, runs=tuple(records), **stats)
 
 

@@ -393,7 +393,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
             means, covs = _scatter(mom, sums, outer, nk, ridge_v,
                                    lambda: ((s, t, w) for s, t, _, _, _, w, _ in _e_blocks(mom, e, bufs)))
             if free_nu:
-                nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk, _util.NU_BOUNDS)
+                nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk)
         e = _e_step(weights, means, covs, nu, mom.c)
         ll = _pass(mom, e, bufs, sums, outer, free_nu)
     if n <= _BLOCK:

@@ -20,6 +20,7 @@ class TestRunCommand:
         )
         assert code == 0
         payload = json.loads(out)
+        assert list(payload["metrics"]) == ["ari", "mse", "wb"]
         assert payload["metrics"]["ari"] == 1.0
         assert payload["iterations"] >= 1
         assert len(payload["labels"]) == 50
@@ -74,6 +75,12 @@ class TestRunCommand:
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "run", "--algo", "kmeans", "--gen", TWO_BLOBS, "--k", "2", "--seed", "-1")
         assert code == 2 and out == "" and "data error: seed must be >= 0" in err
+
+    def test_bad_generator_value_exit_2(self, capsys):
+        # a non-finite box and a negative seed used to end in a traceback from numpy
+        for gen in ("blobs:box=inf", "blobs:seed=-1"):
+            code, out, err = run_cli(capsys, "run", "--algo", "kmeans", "--gen", gen, "--k", "2")
+            assert code == 2 and out == "" and err.startswith("data error: "), gen
 
     def test_numerical_failure_exit_3(self, capsys):
         code, _, err = run_cli(

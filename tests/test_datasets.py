@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,32 @@ class TestBlobs:
         with pytest.raises(DomainError):
             generate_gaussian_blobs(2, 5, 2, cluster_std=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"center_box": math.inf}, "center_box must be finite"),
+            ({"center_box": math.nan}, "center_box must be finite"),
+            ({"center_box": -1.0}, "center_box must be finite and >= 0"),
+            ({"center_box": 1e308}, "2 \\* center_box finite"),  # numpy's uniform needs the box width finite
+            ({"cluster_std": math.inf}, "cluster_std must be finite"),
+            ({"cluster_std": math.nan}, "cluster_std must be finite"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"n_clusters": 2.5}, "n_clusters must be an integer"),
+            ({"per_cluster": 5.0}, "per_cluster must be an integer"),
+            ({"n_features": "2"}, "n_features must be an integer"),
+        ],
+    )
+    def test_bad_inputs_are_domain_errors(self, kwargs, message):
+        # they used to escape as OverflowError, ValueError or TypeError from numpy
+        with pytest.raises(DomainError, match=message):
+            generate_gaussian_blobs(**{"n_clusters": 2, "per_cluster": 5, **kwargs})
+
+    def test_numpy_integer_counts_and_seed(self):
+        a = generate_gaussian_blobs(np.int64(2), np.int32(5), np.int64(3), seed=np.int64(4))
+        b = generate_gaussian_blobs(2, 5, 3, seed=4)
+        assert np.array_equal(a.samples, b.samples)
+
 
 class TestContaminate:
     def test_zero_fraction_identity(self):
@@ -192,3 +220,17 @@ class TestContaminate:
             ContaminationSpec(1.0)
         with pytest.raises(DomainError):
             ContaminationSpec(0.1, box_expansion=0.5)
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="box_expansion must be finite"):
+                ContaminationSpec(0.1, box_expansion=value)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            ContaminationSpec(0.1, seed=1.5)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            ContaminationSpec(0.1, seed=-1)
+
+    def test_an_overflowing_outlier_box_is_a_domain_error(self):
+        # numpy's uniform raised a bare OverflowError on a box wider than float64 holds
+        with pytest.raises(DomainError, match="outlier box overflows"):
+            contaminate(generate_gaussian_blobs(2, 5, seed=0), ContaminationSpec(0.5, 1e308))
+        with pytest.raises(DomainError, match="outlier box overflows"):
+            contaminate(Dataset([[-1e308], [1e308]], [0, 1]), ContaminationSpec(0.5))

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from tkmeans import harness
 from tkmeans.baselines import BaselineConfig
 from tkmeans.core import FitConfig
-from tkmeans.datasets import Dataset, generate_gaussian_blobs
+from tkmeans.datasets import ContaminationSpec, Dataset, generate_gaussian_blobs
 from tkmeans.errors import DegenerateMetricError, DomainError, NumericalError, TkmeansError, UsageError
 from tkmeans.harness import (
     ALGORITHMS,
+    BenchReport,
+    BenchRow,
     RunSpec,
     load_config,
     parse_generator_spec,
@@ -95,8 +97,8 @@ class TestRunOnce:
     [
         pytest.param("tol", lambda v: BaselineConfig(tol=v), id="tol"),
         pytest.param("fixed_nu", lambda v: FitConfig(fixed_nu=v), id="fixed_nu"),
-        pytest.param("alpha_floor", lambda v: FitConfig(alpha_floor=v), id="alpha_floor"),
         pytest.param("fast_alpha", lambda v: FitConfig(fast_alpha=v), id="fast_alpha"),
+        pytest.param("box_expansion", lambda v: ContaminationSpec(0.1, v), id="box_expansion"),
         pytest.param("ridge", lambda v: gmm_fit(parse_generator_spec(TWO_BLOBS), 2, ridge=v), id="ridge"),
         pytest.param("constrained_alpha", lambda v: gmm_fit(parse_generator_spec(TWO_BLOBS), 2, constrained_alpha=v),
                      id="constrained_alpha"),
@@ -301,6 +303,86 @@ class TestRunBench:
         assert payload["rows"][0]["runs"][0]["loss_trace"]
         with pytest.raises(UsageError):
             report.render("xml")
+
+
+class TestReportBytes:
+    """The exact CSV, Markdown and JSON of fixed rows: a tie for best, no ARI, an error row and fractions."""
+
+    RUN = {"seed": 7, "ari": 0.5, "mse": 1.25, "wb": 0.125, "iterations": 3, "time_sec": 0.0625,
+           "loss_trace": [2.5, 1.75]}
+    REPORT = BenchReport((
+        BenchRow("kmeans/iris", "kmeans", "iris", 3, 2, None, ari_mean=0.7302382722834697, ari_std=0.012345678,
+                 mse_mean=0.5231, mse_std=0.001, wb_mean=0.123456789, wb_std=1e-07, iters_mean=4.5,
+                 iters_std=0.7071067811865476, time_mean=0.0012345, time_std=0.00021, runs=(RUN,)),
+        BenchRow("tkmeans/iris", "tkmeans", "iris", 3, 2, None, ari_mean=0.7302382722834697, ari_std=0.0,
+                 mse_mean=0.6, mse_std=0.25, wb_mean=0.123456789, wb_std=0.5, iters_mean=12.0, iters_std=3.0,
+                 time_mean=0.25, time_std=0.125),
+        BenchRow("gmm/points", "gmm", "points", 2, 1, None, mse_mean=12345.678, mse_std=0.0, wb_mean=0.25,
+                 wb_std=0.0, iters_mean=7.0, iters_std=0.0, time_mean=0.5, time_std=0.0),
+        BenchRow("kmeans/iris", "kmeans", "iris", 3, 4, 0.05, error="NumericalError: covariance, singular"),
+        BenchRow("tmm/iris", "tmm", "iris", 3, 4, 0.05, ari_mean=0.5, ari_std=0.1, mse_mean=2.0, mse_std=0.5,
+                 wb_mean=0.3, wb_std=0.05, iters_mean=300.0, iters_std=0.0, time_mean=1.5, time_std=0.25),
+        BenchRow("tmm/iris", "tmm", "iris", 3, 4, 0.1, ari_mean=0.25, ari_std=0.125, mse_mean=3.0, mse_std=1.0,
+                 wb_mean=0.4, wb_std=0.0625, iters_mean=150.5, iters_std=20.25, time_mean=0.75, time_std=0.0),
+    ))
+
+    def test_csv(self):
+        assert self.REPORT.to_csv() == (
+            "name,algorithm,dataset,k,fraction,repeats,ari_mean,ari_std(n-1),mse_mean,mse_std(n-1),"
+            "wb_mean,wb_std(n-1),iters_mean,iters_std(n-1),time_mean_sec,time_std(n-1),error\r\n"
+            "kmeans/iris,kmeans,iris,3,,2,0.730238,0.0123457,0.5231,0.001,0.123457,1e-07,4.5,0.707107,"
+            "0.0012345,0.00021,\r\n"
+            "tkmeans/iris,tkmeans,iris,3,,2,0.730238,0,0.6,0.25,0.123457,0.5,12,3,0.25,0.125,\r\n"
+            "gmm/points,gmm,points,2,,1,,,12345.7,0,0.25,0,7,0,0.5,0,\r\n"
+            'kmeans/iris,kmeans,iris,3,0.05,4,,,,,,,,,,,"NumericalError: covariance, singular"\r\n'
+            "tmm/iris,tmm,iris,3,0.05,4,0.5,0.1,2,0.5,0.3,0.05,300,0,1.5,0.25,\r\n"
+            "tmm/iris,tmm,iris,3,0.1,4,0.25,0.125,3,1,0.4,0.0625,150.5,20.25,0.75,0,\r\n"
+        )
+
+    def test_markdown(self):
+        assert self.REPORT.to_markdown() == (
+            "| name | algorithm | dataset | K | fraction | ARI (mean±std, n-1) | MSE | W/B | iters | time (s) |\n"
+            "|---|---|---|---|---|---|---|---|---|---|\n"
+            "| kmeans/iris | kmeans | iris | 3 | - | **0.730±0.012** | **0.523±0.001** | **0.123±0.000** "
+            "| 4.50±0.71 | 0.0012±0.0002 |\n"
+            "| tkmeans/iris | tkmeans | iris | 3 | - | **0.730±0.000** | 0.600±0.250 | **0.123±0.500** "
+            "| 12.00±3.00 | 0.2500±0.1250 |\n"
+            "| gmm/points | gmm | points | 2 | - | - | **12345.678±0.000** | **0.250±0.000** "
+            "| 7.00±0.00 | 0.5000±0.0000 |\n"
+            "| kmeans/iris | kmeans | iris | 3 | 0.05 | FAILED: NumericalError: covariance, singular | | | | |\n"
+            "| tmm/iris | tmm | iris | 3 | 0.05 | **0.500±0.100** | **2.000±0.500** | **0.300±0.050** "
+            "| 300.00±0.00 | 1.5000±0.2500 |\n"
+            "| tmm/iris | tmm | iris | 3 | 0.1 | **0.250±0.125** | **3.000±1.000** | **0.400±0.062** "
+            "| 150.50±20.25 | 0.7500±0.0000 |\n"
+        )
+
+    def test_json(self):
+        def row(name, algorithm, dataset, k, fraction, repeats, ari, mse, wb, iterations, time_sec,
+                error=None, runs=()):
+            pairs = zip(("ari", "mse", "wb", "iterations", "time_sec"), (ari, mse, wb, iterations, time_sec))
+            return {"name": name, "algorithm": algorithm, "dataset": dataset, "k": k, "fraction": fraction,
+                    "repeats": repeats, **{key: dict(zip(("mean", "std"), v)) for key, v in pairs},
+                    "error": error, "runs": list(runs)}
+
+        none = (None, None)
+        rows = [
+            row("kmeans/iris", "kmeans", "iris", 3, None, 2, (0.7302382722834697, 0.012345678), (0.5231, 0.001),
+                (0.123456789, 1e-07), (4.5, 0.7071067811865476), (0.0012345, 0.00021), runs=[self.RUN]),
+            row("tkmeans/iris", "tkmeans", "iris", 3, None, 2, (0.7302382722834697, 0.0), (0.6, 0.25),
+                (0.123456789, 0.5), (12.0, 3.0), (0.25, 0.125)),
+            row("gmm/points", "gmm", "points", 2, None, 1, none, (12345.678, 0.0), (0.25, 0.0), (7.0, 0.0),
+                (0.5, 0.0)),
+            row("kmeans/iris", "kmeans", "iris", 3, 0.05, 4, none, none, none, none, none,
+                error="NumericalError: covariance, singular"),
+            row("tmm/iris", "tmm", "iris", 3, 0.05, 4, (0.5, 0.1), (2.0, 0.5), (0.3, 0.05), (300.0, 0.0),
+                (1.5, 0.25)),
+            row("tmm/iris", "tmm", "iris", 3, 0.1, 4, (0.25, 0.125), (3.0, 1.0), (0.4, 0.0625), (150.5, 20.25),
+                (0.75, 0.0)),
+        ]
+        text = self.REPORT.to_json()
+        assert text == json.dumps({"rows": rows}, indent=2) + "\n"
+        assert text.startswith('{\n  "rows": [\n    {\n      "name": "kmeans/iris",\n')
+        assert '"ari": {\n        "mean": 0.7302382722834697,\n        "std": 0.012345678\n      },' in text
 
 
 class TestUnlabeledData:

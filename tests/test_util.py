@@ -156,15 +156,17 @@ class TestClusterMeans:
 class TestTModelPieces:
     def test_nu_from_sums_averages_the_healthy_components(self):
         rng = np.random.default_rng(9)
-        diff, mass = -rng.random(5) * 3.0, 0.5 + rng.random(5)
-        every = _util.nu_from_sums(diff, mass, (0.01, 200.0))
+        mass = 0.5 + rng.random(5)
+        diff = -mass * (1.05 + 0.9 * rng.random(5))  # E ln u - u <= -1, and nu in (1, 200) needs a mean above -2
+        every = _util.nu_from_sums(diff, mass)
         assert every == -1.0 / (1.0 + float((diff / mass).mean()))
-        assert _util.nu_from_sums(diff, mass, (0.01, 200.0), np.ones(5, dtype=bool)) == every
+        assert _util.nu_from_sums(diff, mass, np.ones(5, dtype=bool)) == every
         healthy = np.array([True, False, True, True, False])
         terms = diff[healthy] / mass[healthy]
-        assert _util.nu_from_sums(diff, mass, (0.01, 200.0), healthy) == -1.0 / (1.0 + float(terms.mean()))
-        # a non-negative eta clamps to the upper bound
-        assert _util.nu_from_sums(np.ones(2), np.ones(2), (1.0, 200.0)) == 200.0
+        assert _util.nu_from_sums(diff, mass, healthy) == -1.0 / (1.0 + float(terms.mean()))
+        # nu clamps to NU_BOUNDS; a non-negative eta clamps to the upper bound
+        assert _util.nu_from_sums(-3.0 * mass, mass) == _util.NU_BOUNDS[0] == 1.0
+        assert _util.nu_from_sums(np.ones(2), np.ones(2)) == _util.NU_BOUNDS[1] == 200.0
 
     @pytest.mark.parametrize("p", [1, 2, 16])
     def test_log_t_const_keeps_its_left_to_right_bits(self, p):
