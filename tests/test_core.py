@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkmeans.baselines import BaselineConfig, kmeans_fit
 from tkmeans._util import NU_BOUNDS
+from tkmeans.baselines import BaselineConfig, kmeans_fit
 from tkmeans.core import (
     _ALPHA_FLOOR,
     EStepResult,
