@@ -249,7 +249,7 @@ def generate_gaussian_blobs(
     Labels record the generating component.  Counts must be integers >= 1,
     ``seed`` an integer >= 0, ``cluster_std`` finite and > 0 and
     ``center_box`` >= 0 with ``2 * center_box`` finite; anything else
-    raises ``DomainError``.
+    raises ``DomainError``, as does a sample that overflows float64.
     """
     n_clusters, per_cluster, n_features = (
         as_int("n_clusters", n_clusters), as_int("per_cluster", per_cluster), as_int("n_features", n_features)
@@ -262,9 +262,10 @@ def generate_gaussian_blobs(
         raise DomainError(f"center_box must be finite and >= 0, and 2 * center_box finite, got {center_box}")
     rng = np.random.default_rng(check_seed(seed))
     centers = rng.uniform(-center_box, center_box, size=(n_clusters, n_features))
-    samples = np.concatenate(
-        [c + cluster_std * rng.standard_normal((per_cluster, n_features)) for c in centers]
-    )
+    with np.errstate(over="ignore"):  # an infinite sample is a DomainError from Dataset
+        samples = np.concatenate(
+            [c + cluster_std * rng.standard_normal((per_cluster, n_features)) for c in centers]
+        )
     labels = np.repeat(np.arange(n_clusters), per_cluster)
     return Dataset(samples, labels, name or f"blobs{n_clusters}x{per_cluster}")
 

@@ -387,8 +387,11 @@ def run_robustness(
     Each repeat contaminates the base dataset with seed ``base_seed + r``
     and fits with the same seed.  ARI is scored on the original points
     only; the appended outliers keep their own label class and never enter
-    the ground truth.  ``overrides`` are further ``RunSpec`` fields.
+    the ground truth.  ``overrides`` are further ``RunSpec`` fields.  A
+    fraction or ``box_expansion`` that ``ContaminationSpec`` rejects raises
+    its ``DomainError`` before any cell runs.
     """
+    contaminations = [ContaminationSpec(fraction, box_expansion) for fraction in fractions]
     base_spec = RunSpec(algorithm="kmeans", data=data, k=1, **overrides)
     base = resolve_dataset(base_spec)
     if base.labels is None:
@@ -397,16 +400,16 @@ def run_robustness(
     rows = []
     for algo in algorithms:
         spec = replace(base_spec, algorithm=algo, k=k, repeats=repeats, base_seed=base_seed)
-        for fraction in fractions:
+        for contamination in contaminations:
 
             def fit_and_score(seed):
-                noisy = contaminate(base, ContaminationSpec(fraction, box_expansion, seed=seed))
+                noisy = contaminate(base, replace(contamination, seed=seed))
                 result = _dispatch(spec, noisy, seed)
                 ari = adjusted_rand_index(base.labels, result.labels[: base.n])
                 mse = clustering_mse(noisy, result.centers, result.labels)
                 return result, MetricReport(ari, mse, wb_ratio(noisy, result.centers, result.labels))
 
-            rows.append(_run_cell(spec, base.name, fit_and_score, fraction))
+            rows.append(_run_cell(spec, base.name, fit_and_score, contamination.outlier_fraction))
     return BenchReport(tuple(rows))
 
 

@@ -12,17 +12,22 @@ Both fits run one pass over the data per EM iteration, in blocks of
 ``_BLOCK`` points (data of up to that many points run as one block), as
 ``core.fit`` does.  A fit builds one C-ordered moment block of the data
 (``_row_moments``): the rows of ``x - c``, with ``c`` the data mean, a
-row of ones and, when p < 2K, the packed upper triangle of each centered
-row's outer product.  Each E-step builds the (p*K, p+1) whitening
-operator ``[W | W(c - mu)]`` and the log-determinants from one Cholesky
-of the (K, p, p) covariance stack (``_maha_logdet``).  A block takes its
-whitened coordinates from one GEMM of that operator with its columns of
-the block's first p+1 rows and sums their squares into (K, B)
-Mahalanobis distances; one ``exp`` pass on the transposed view then gives
-both the row log-likelihoods and the responsibilities ``r``, in place.
-A Gaussian ``r`` below the smallest normal float times its point's
-largest is set to 0 before the ``exp``, which is far slower on a
-subnormal result.
+row of ones and, when p < 2K, the packed upper triangle ``phi`` of each
+centered row's outer product.  Each E-step takes the log-determinants
+and a distance operator from one Cholesky of the (K, p, p) covariance
+stack (``_maha_logdet``).  With ``phi`` in the block, the operator is the
+(K, p+1+q) expanded quadratic form ``[2 W^T v | |v|^2 | W^T W]``, with
+``W`` the inverse Cholesky factor and ``v = W(c - mu)``, and one GEMM of
+it with a block's columns writes the (K, B) Mahalanobis distances,
+clamped at 0, straight into the buffer the E-step continues in, as
+``_util.pairwise_sq_dists`` does for Euclidean distances.  Wider data (p
+>= 2K) take the (p*K, p+1) whitening operator ``[W | W(c - mu)]``: one
+GEMM with the block's first p+1 rows gives the whitened coordinates,
+whose squares sum into the distances.  One ``exp`` pass on the
+transposed view then gives both the row log-likelihoods and the
+responsibilities ``r``, in place.  A Gaussian ``r`` below the smallest
+normal float times its point's largest is set to 0 before the ``exp``,
+which is far slower on a subnormal result.
 A second GEMM of the weights (``r``, or ``r * u`` for the t fit) with the
 block's columns adds the weighted sums of ``x - c``, the mass and the
 packed second moments that the M-step needs (``_add_moments``); one
@@ -31,9 +36,9 @@ second moments come from the block's weighted copy of the data, written
 into the whitening buffer.  The M-step reads the K means and scatters off
 those sums (``_scatter``), so the Python cost of an iteration does not
 grow with K, and every block reuses the same buffers: a fit holds the
-moment block, one (p*K, B) and up to three (K, B) buffers, and no (N, K)
-array: at 50,000 x 2, K=50 a ``tracemalloc`` peak of 9.4 MB (Gaussian)
-and 12.7 MB (t).
+moment block, up to three (K, B) buffers and, only when p >= 2K, one
+(p*K, B) whitening buffer, and no (N, K) array: at 50,000 x 2, K=50 a
+``tracemalloc`` peak of 6.1 MB (Gaussian) and 9.4 MB (t).
 """
 
 from __future__ import annotations
@@ -88,27 +93,38 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     return value
 
 
-# Points per block of an EM pass.  A block fills one (p*K, B) buffer and up to three (K, B)
-# buffers that every block reuses; data of up to B points run as one block.
+# Points per block of an EM pass.  A block fills up to three (K, B) buffers and, when p >= 2K, one
+# (p*K, B) buffer, which every block reuses; data of up to B points run as one block.
 _BLOCK = 4096
 
 
-def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray):
-    """The whitening operator of every component about ``c``, and the log-determinants.
+def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray, quad=None):
+    """The Mahalanobis operator of every component about ``c``, and the log-determinants.
 
     With ``L_j`` the Cholesky factor of component j and ``W_j`` its
     inverse, the squared Mahalanobis distance of x is ``|W_j (x - mu_j)|^2
-    = |W_j (x - c) + W_j (c - mu_j)|^2``.  Returns the (p*K, p+1) operator
-    whose row a*K + j is row a of ``[W_j | W_j (c - mu_j)]``, so one GEMM
-    with the rows ``[x - c; 1]`` of the moment block whitens a block of
-    points for all K components, coordinate-major: the squared distances
-    are the sum of p contiguous (K, B) slabs of the squared output.  Also
-    returns the (K,) covariance log-determinants.
+    = |W_j (x - c) + v_j|^2`` with ``v_j = W_j (c - mu_j)``.  Without
+    ``quad`` returns the (p*K, p+1) whitening operator whose row a*K + j is
+    row a of ``[W_j | v_j]``, so one GEMM with the rows ``[x - c; 1]`` of
+    the moment block whitens a block of points for all K components,
+    coordinate-major: the squared distances are the sum of p contiguous
+    (K, B) slabs of the squared output.  With ``quad``, the moment block's
+    ``(at, wt)`` when it holds ``phi`` (p < 2K), returns instead the (K,
+    p+1+q) operand of the expanded quadratic form, row j ``[2 W_j^T v_j |
+    |v_j|^2 | P_j]`` with ``P_j = W_j^T W_j`` packed as ``phi`` and its
+    off-diagonal entries doubled: entry ``at`` of the Gram matrix ``[W_j |
+    v_j]^T [W_j | v_j]`` times ``wt``.  One GEMM of it with all rows ``[x -
+    c; 1; phi]`` of the block gives the (K, B) squared distances, as
+    ``_util.pairwise_sq_dists`` does for Euclidean ones.  Also returns the
+    (K,) covariance log-determinants.
     With ``c`` the data mean, the cancellation error of a distance stays
-    near eps * (|W_j (x - c)|^2 + |W_j (mu_j - c)|^2) however far the data
-    sit from the origin, as in ``_util.pairwise_sq_dists``.  A covariance
-    whose Cholesky fails raises ``NumericalError`` naming the first such
-    component.
+    near eps * (|W_j (x - c)|^2 + |v_j|^2) however far the data sit from
+    the origin, on either operator; the quadratic form can fall that far
+    below 0, so its caller clamps it at 0.  A quadratic form that
+    overflows, which ``W_j^T W_j`` does for a covariance below about 1 /
+    the largest float where ``W_j (x - c)`` need not, gives way to the
+    whitening operator.  A covariance whose Cholesky fails raises
+    ``NumericalError`` naming the first such component.
     """
     k, p = means.shape
     try:
@@ -126,7 +142,13 @@ def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray):
     op[:, :, :p] = whiten.transpose(1, 0, 2)
     op[:, :, p] = (whiten @ (c - means)[:, :, None])[:, :, 0].T
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return op.reshape(p * k, p + 1), logdet
+    if quad is None:
+        return op.reshape(p * k, p + 1), logdet
+    at, wt = quad
+    wv = op.transpose(1, 0, 2)  # [W_j | v_j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = np.matmul(wv.transpose(0, 2, 1), wv).reshape(k, -1)[:, at] * wt
+    return (form if np.isfinite(form).all() else op.reshape(p * k, p + 1)), logdet
 
 
 @dataclass(frozen=True)
@@ -135,11 +157,17 @@ class _Moments:
 
     c: np.ndarray  # (p,), the data mean
     cols: np.ndarray  # C-ordered (p+1+q, N): (x - c)^T, a row of ones, then q packed products when ``packed``
-    packed: bool  # whether cols holds the q = p(p+1)/2 packed upper triangles of (x_i - c)(x_i - c)^T
     iu: np.ndarray  # row and column of each packed entry
     ju: np.ndarray
     diag: np.ndarray  # the packed entries on the diagonal
     sym: np.ndarray  # the packed entry of each (a, b) of a p x p matrix, row by row
+    # when packed: the Gram entry (flat, of a (p+1, p+1) matrix) and weight of each row of cols in _maha_logdet
+    quad: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def packed(self) -> bool:
+        """Whether cols holds the q = p(p+1)/2 packed upper triangles of (x_i - c)(x_i - c)^T."""
+        return self.quad is not None
 
 
 def _row_moments(x: np.ndarray, k: int) -> _Moments:
@@ -149,10 +177,15 @@ def _row_moments(x: np.ndarray, k: int) -> _Moments:
     weighted sums of ``x - c``, the mass and, through ``phi``, the packed
     second moments about ``c``.  ``phi`` holds N p(p+1)/2 floats, so its
     memory grows as p^2; it is built only when p < 2K, where it is no
-    larger than one (p*K, N) whitening of the data.  Wider data form their
-    second moments from a block's weighted copy (``_add_moments``).  A
-    squared entry that overflows raises ``NumericalError``; every product
-    in ``phi`` is bounded by the larger of two such squares.
+    larger than one (p*K, N) whitening of the data, and the E-step then
+    takes its distances from all rows of the block (``_maha_logdet``).
+    Each row is a product ``z_a z_b`` of ``z = [x - c; 1]``; ``quad`` holds
+    each row's (a, b) as a flat index of a (p+1, p+1) matrix, and its
+    weight in a quadratic form in ``z``: 2 off the diagonal, 1 on it.
+    Wider data form their second moments from a block's weighted copy
+    (``_add_moments``).  A squared entry that overflows raises
+    ``NumericalError``; every product in ``phi`` is bounded by the larger
+    of two such squares.
     """
     n, p = x.shape
     iu, ju = np.triu_indices(p)
@@ -163,12 +196,15 @@ def _row_moments(x: np.ndarray, k: int) -> _Moments:
         np.subtract(x, c, out=cols[:p].T)
     _finite("the data's second moments", lambda: np.abs(cols[:p]).max() ** 2)
     cols[p] = 1.0
+    quad = None
     if packed:
         for row, (a, b) in enumerate(zip(iu, ju), p + 1):
             np.multiply(cols[a], cols[b], out=cols[row])
+        za, zb = np.concatenate([np.arange(p + 1), iu]), np.concatenate([np.full(p + 1, p), ju])
+        quad = (za * (p + 1) + zb, np.where(za == zb, 1.0, 2.0))
     sym = np.empty((p, p), dtype=np.intp)
     sym[iu, ju] = sym[ju, iu] = np.arange(iu.size)
-    return _Moments(c, cols, packed, iu, ju, np.flatnonzero(iu == ju), sym.ravel())
+    return _Moments(c, cols, iu, ju, np.flatnonzero(iu == ju), sym.ravel(), quad)
 
 
 def _add_moments(sums: np.ndarray, outer, w: np.ndarray, cols: np.ndarray, wx: np.ndarray) -> None:
@@ -189,19 +225,20 @@ def _add_moments(sums: np.ndarray, outer, w: np.ndarray, cols: np.ndarray, wx: n
         outer += copy.reshape(k * p, b) @ cols[:p].T
 
 
-def _e_step(weights: np.ndarray, means: np.ndarray, covs: np.ndarray, nu, c: np.ndarray):
-    """One E-step's constants: the whitening operator, the scale and the (K, 1) bias of ``log r``, and ``nu``.
+def _e_step(weights: np.ndarray, means: np.ndarray, covs: np.ndarray, nu, c: np.ndarray, quad=None):
+    """One E-step's constants: the distance operator, the scale and the (K, 1) bias of ``log r``, ``nu`` and p.
 
     The unnormalized log responsibility is ``scale * g + bias`` with ``g``
     the Mahalanobis distance for the Gaussian fit (scale -1/2) and
     ``log1p(maha / nu)`` for the t fit (scale -(nu+p)/2).  Calls
-    ``_maha_logdet`` once.
+    ``_maha_logdet`` once: the fit passes its moment block's ``quad``, so a
+    packed block gets the quadratic-form operand.
     """
-    op, logdet = _maha_logdet(means, covs, c)
+    op, logdet = _maha_logdet(means, covs, c, quad)
     p = means.shape[1]
     if nu is None:
-        return op, -0.5, (np.log(weights) - 0.5 * (p * _LOG_2PI + logdet))[:, None], None
-    return op, -0.5 * (nu + p), (np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet)[:, None], nu
+        return op, -0.5, (np.log(weights) - 0.5 * (p * _LOG_2PI + logdet))[:, None], None, p
+    return op, -0.5 * (nu + p), (np.log(weights) + _util.log_t_const(p, 1.0, nu) - 0.5 * logdet)[:, None], nu, p
 
 
 def _sum_slabs(y: np.ndarray, p: int, out: np.ndarray) -> None:
@@ -219,26 +256,36 @@ def _e_block(cols: np.ndarray, e, bufs):
     """E-step of one block; returns its row log-likelihoods, ``r``, the weights ``w`` and ``log1p(maha/nu)``.
 
     ``cols`` are the block's columns of the moment block and ``e`` is
-    ``_e_step``'s tuple.  One GEMM of the operator with the rows ``[x - c;
-    1]`` fills the (p*K, B) buffer ``bufs[0]`` with the whitened
-    coordinates; their squares summed over p give the (K, B) distances.
-    ``log r`` is formed and normalized in place in ``bufs[1]`` (one ``exp``
-    pass, on its transposed view), so ``r`` is (K, B).  The Gaussian fit
-    first sets to -inf each ``log r`` more than -ln(tiny) below its
-    point's largest, and weights by ``r``.  The t fit keeps the distances
-    in ``bufs[2]``, overwrites them with ``u = (nu+p)/(nu+maha)`` and then
-    ``w = r * u``, and keeps ``log1p(maha/nu)`` in ``bufs[3]``; it returns
-    None there for the Gaussian fit.
+    ``_e_step``'s tuple.  The (K, B) squared Mahalanobis distances go
+    straight into ``bufs[1]`` for the Gaussian fit and ``bufs[2]`` for the
+    t fit.  A packed block (p < 2K) takes them from one GEMM of the
+    quadratic-form operand with all its rows, clamped at 0 like
+    ``_util.pairwise_sq_dists``: no (p*K, B) buffer, and an error near eps
+    times the whitened norms about ``c`` (``_maha_logdet``).  A wider block
+    fills the (p*K, B) buffer ``bufs[0]`` with the whitened coordinates,
+    one GEMM of the whitening operator with its rows ``[x - c; 1]``, and
+    sums their squares over p; so does a packed block whose quadratic form
+    overflowed, in a temporary when ``bufs[0]`` is None.  ``log r`` is
+    formed and normalized in place in ``bufs[1]`` (one ``exp`` pass, on
+    its transposed view), so ``r`` is (K, B).  The Gaussian fit first sets
+    to -inf each ``log r`` more than -ln(tiny) below its point's largest,
+    and weights by ``r``.  The t fit overwrites its distances with ``u =
+    (nu+p)/(nu+maha)`` and then ``w = r * u``, and keeps
+    ``log1p(maha/nu)`` in ``bufs[3]``; it returns None there for the
+    Gaussian fit.
     """
-    op, scale, bias, nu = e
+    op, scale, bias, nu, p = e
     k, b = bias.shape[0], cols.shape[1]
-    p = op.shape[1] - 1
-    y = _util.block_view(bufs[0], p * k, b)
     log_r = _util.block_view(bufs[1], k, b)
-    np.matmul(op, cols[: p + 1], out=y)
-    y *= y
+    maha = log_r if nu is None else _util.block_view(bufs[2], k, b)
+    if op.shape[1] > p + 1:  # the quadratic-form operand, over [x - c; 1; phi]
+        np.maximum(np.matmul(op, cols, out=maha), 0.0, out=maha)
+    else:
+        y = np.empty((p * k, b)) if bufs[0] is None else _util.block_view(bufs[0], p * k, b)
+        np.matmul(op, cols[: p + 1], out=y)
+        y *= y
+        _sum_slabs(y, p, maha)
     if nu is None:
-        _sum_slabs(y, p, log_r)
         log_r *= scale
         log_r += bias
         # a Gaussian's log density falls quadratically, so far components land below ln(tiny) under their
@@ -248,8 +295,7 @@ def _e_block(cols: np.ndarray, e, bufs):
         np.copyto(log_r, -np.inf, where=log_r < floor)
         row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
         return row_ll, log_r, log_r, None
-    maha, lp = _util.block_view(bufs[2], k, b), _util.block_view(bufs[3], k, b)
-    _sum_slabs(y, p, maha)
+    lp = _util.block_view(bufs[3], k, b)
     np.log1p(np.divide(maha, nu, out=lp), out=lp)
     np.multiply(lp, scale, out=log_r)
     log_r += bias
@@ -366,12 +412,12 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
 
     mom = _row_moments(x, k)
     rows, b = mom.cols.shape[0], min(n, _BLOCK)
-    bufs = [np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 3)]
+    bufs = [None if mom.packed else np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 3)]
     sums = np.empty((k, rows + 2))
     outer = None if mom.packed or constrained_alpha is not None else np.empty((k * p, p))
     trace: list[float] = []
     prev_ll = None
-    e = _e_step(weights, means, covs, nu, mom.c)
+    e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
     ll = _pass(mom, e, bufs, sums, outer, free_nu)
     for _ in range(cfg.max_iter):
         trace.append(ll)
@@ -394,7 +440,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
                                    lambda: ((s, t, w) for s, t, _, _, _, w, _ in _e_blocks(mom, e, bufs)))
             if free_nu:
                 nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk)
-        e = _e_step(weights, means, covs, nu, mom.c)
+        e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
         ll = _pass(mom, e, bufs, sums, outer, free_nu)
     if n <= _BLOCK:
         labels = _util.block_view(bufs[1], k, n).argmax(axis=0)

@@ -158,3 +158,11 @@ class TestRobustCommand:
             capsys, "robust", "--gen", TWO_BLOBS, "--fractions", "0,abc", "--algos", "kmeans"
         )
         assert code == 1
+
+    def test_bad_sweep_setting_exit_2(self, capsys):
+        # rejected once, before any cell runs; both used to fail every cell and exit 3
+        for extra in (["--fractions", "0.1", "--box-expansion", "inf"], ["--fractions", "1.5"]):
+            code, out, err = run_cli(
+                capsys, "robust", "--algos", "kmeans", "--gen", "blobs:k=2,n=20", "--repeats", "2", *extra
+            )
+            assert code == 2 and out == "" and err.startswith("data error: "), extra

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,7 @@ class TestBlobs:
             ({"center_box": 1e308}, "2 \\* center_box finite"),  # numpy's uniform needs the box width finite
             ({"cluster_std": math.inf}, "cluster_std must be finite"),
             ({"cluster_std": math.nan}, "cluster_std must be finite"),
+            ({"cluster_std": 1e308}, "samples must be finite"),  # overflowed in numpy's multiply
             ({"seed": -1}, "seed must be >= 0"),
             ({"seed": 1.5}, "seed must be an integer"),
             ({"n_clusters": 2.5}, "n_clusters must be an integer"),
@@ -171,8 +173,9 @@ class TestBlobs:
         ],
     )
     def test_bad_inputs_are_domain_errors(self, kwargs, message):
-        # they used to escape as OverflowError, ValueError or TypeError from numpy
-        with pytest.raises(DomainError, match=message):
+        # they used to escape as OverflowError, ValueError, TypeError or a RuntimeWarning from numpy
+        with warnings.catch_warnings(), pytest.raises(DomainError, match=message):
+            warnings.simplefilter("error")
             generate_gaussian_blobs(**{"n_clusters": 2, "per_cluster": 5, **kwargs})
 
     def test_numpy_integer_counts_and_seed(self):

@@ -217,6 +217,26 @@ class TestEveryAlgorithm:
         spec = RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50, init=init)
         _assert_finite_or_a_typed_error(spec, data, seed)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        algorithm=st.sampled_from(("kmeans", "kmeans++", "fast-tkmeans", "fast-tkmeans++")),
+        distinct=st.integers(1, 12),
+        duplicates=st.integers(0, 12),
+        p=st.integers(1, 4),
+        k_is_n=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-150.0, 150.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_squared_distance_fits_out_to_the_float64_limits(
+        self, algorithm, distinct, duplicates, p, k_is_n, k_share, log_scale, offset, seed
+    ):
+        # the squared distances, the fast variant's weights and k-means++'s draw probabilities reach 1e+-300
+        data = _points(distinct, duplicates, p, offset * 10.0**log_scale, log_scale, seed)
+        k = data.n if k_is_n else 1 + int(k_share * (data.n - 1))
+        _assert_finite_or_a_typed_error(RunSpec(algorithm=algorithm, data=data, k=k, max_iter=50), data, seed)
+
 
 class TestRunBench:
     def test_each_string_source_resolves_once_into_read_only_data(self, monkeypatch):

@@ -51,23 +51,46 @@ def _whitened_sq(x, means, covs):
     return (y * y).reshape(p, k, x.shape[0]).sum(axis=0).T, logdet, mom.c
 
 
+def _quad_form_sq(x, means, covs):
+    """Squared Mahalanobis distances (N, K) from one GEMM of the quadratic-form operand with the packed moment block."""
+    k = means.shape[0]
+    mom = _row_moments(x, k)
+    op, logdet = _maha_logdet(means, covs, mom.c, mom.quad)
+    assert op.shape == (k, mom.cols.shape[0])
+    return np.maximum(op @ mom.cols, 0.0).T, logdet, mom.c
+
+
+def _whitened_norms(x, means, covs, c):
+    """(N, K) ``|W_j (x - c)|^2 + |W_j (mu_j - c)|^2``, the scale of the distances' cancellation error."""
+    return np.stack([_solve_maha_logdet(x, c, covs[j])[0] + _solve_maha_logdet(means[j : j + 1], c, covs[j])[0]
+                     for j in range(means.shape[0])], axis=1)
+
+
+def _check_maha_logdet(p, k, distances):
+    rng = np.random.default_rng(10 * p + k)
+    covs = _random_spd(rng, k, p)
+    for offset in (0.0, 1e6):
+        x = offset + rng.normal(0, 3, (200, p))
+        means = offset + rng.normal(0, 3, (k, p))
+        maha, logdet, c = distances(x, means, covs)
+        assert maha.shape == (200, k) and logdet.shape == (k,)
+        # relative to the whitened norms about the data mean, as for pairwise_sq_dists
+        scale = _whitened_norms(x, means, covs, c)
+        for j in range(k):
+            ref, ref_logdet = _solve_maha_logdet(x, means[j], covs[j])
+            assert (np.abs(maha[:, j] - ref) <= 1e-12 * scale[:, j]).all()
+            assert abs(logdet[j] - ref_logdet) <= 1e-12 * max(1.0, abs(ref_logdet))
+
+
 class TestMahaLogdet:
     @pytest.mark.parametrize("p", [1, 2, 4, 16])
     @pytest.mark.parametrize("k", [1, 3, 15])
     def test_matches_per_component_solve(self, p, k):
-        rng = np.random.default_rng(10 * p + k)
-        covs = _random_spd(rng, k, p)
-        for offset in (0.0, 1e6):
-            x = offset + rng.normal(0, 3, (200, p))
-            means = offset + rng.normal(0, 3, (k, p))
-            maha, logdet, c = _whitened_sq(x, means, covs)
-            assert maha.shape == (200, k) and logdet.shape == (k,)
-            for j in range(k):
-                ref, ref_logdet = _solve_maha_logdet(x, means[j], covs[j])
-                # relative to the whitened norms about the data mean, as for pairwise_sq_dists
-                scale = _solve_maha_logdet(x, c, covs[j])[0] + _solve_maha_logdet(means[j : j + 1], c, covs[j])[0]
-                assert (np.abs(maha[:, j] - ref) <= 1e-12 * scale).all()
-                assert abs(logdet[j] - ref_logdet) <= 1e-12 * max(1.0, abs(ref_logdet))
+        _check_maha_logdet(p, k, _whitened_sq)
+
+    @pytest.mark.parametrize("p, k", [(p, k) for p in (1, 2, 4, 16) for k in (1, 3, 15) if p < 2 * k])
+    def test_packed_operand_matches_per_component_solve(self, p, k):
+        _check_maha_logdet(p, k, _quad_form_sq)
 
     def test_names_the_singular_component(self):
         rng = np.random.default_rng(0)
@@ -328,6 +351,41 @@ class TestBlockedPass:
         assert np.allclose(row_ll, log_sum_exp(log_r.T, axis=1), rtol=1e-14, atol=0.0)
         assert np.allclose(r[~band], np.exp(log_r - row_ll)[~band], rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("nu", [None, 3.0], ids=["gmm", "tmm"])
+    def test_packed_e_block_needs_no_whitening_buffer(self, nu):
+        # p < 2K: one GEMM of the quadratic-form operand fills the (K, B) buffers; the first K points sit on the means
+        rng = np.random.default_rng(13)
+        k, p = 3, 4
+        means = 1e6 + rng.normal(0, 3, (k, p))
+        covs = _random_spd(rng, k, p)
+        x = np.concatenate([means, 1e6 + rng.normal(0, 3, (100, p))])
+        model = MixtureModel(np.array([0.2, 0.3, 0.5]), means, covs, nu)
+        mom = _row_moments(x, k)
+        e = mixtures._e_step(model.weights, means, covs, nu, mom.c, mom.quad)
+        bufs = [None] + [np.empty(k * x.shape[0]) for _ in range(1 if nu is None else 3)]
+        row_ll, r, w, lp = mixtures._e_block(mom.cols, e, bufs)
+        log_r = _per_component_log_resp(x, model)
+        ref_ll = log_sum_exp(log_r, axis=1)
+        # log r moves by at most (nu+p)/(2 nu) per unit of distance (1/2 for the Gaussian)
+        tol = 1e-12 * _whitened_norms(x, means, covs, mom.c).max(axis=1) * (1.0 if nu is None else (nu + p) / nu)
+        assert (np.abs(row_ll - ref_ll) <= tol).all()
+        assert (np.abs(r - np.exp(log_r - ref_ll[:, None]).T) <= 2.0 * tol).all()
+        assert (w is r) == (nu is None) and (lp is None) == (nu is None)
+        if nu is not None:
+            assert (lp >= 0.0).all()  # the distances are clamped at 0
+
+    @pytest.mark.parametrize("fit, bound", [(gmm_fit, 7e6), (tmm_fit, 10.5e6)], ids=["gmm", "tmm"])
+    def test_a_packed_fit_holds_no_whitening_buffer(self, fit, bound):
+        # 50,000 x 2, K=50 is packed (p < 2K); the (p*K, B) whitening buffer alone is 3.3 MB
+        d = generate_gaussian_blobs(50, 1000, 2, seed=0)
+        tracemalloc.start()
+        try:
+            fit(d, 50, BaselineConfig(seed=0, max_iter=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     @pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
     def test_peak_memory_holds_no_n_by_k_matrix(self, fit):
         # 50,000 x 2, K=50: one (N, K) matrix is 20 MB, and the whole-data E- and M-steps peaked at 122-202 MB
@@ -389,6 +447,28 @@ def test_small_scale_with_a_subnormal_default_ridge_still_fits():
             reference, _ = mixture_fit(d, 3)
             result, _ = mixture_fit(Dataset(d.samples * 1e-152), 3)
             assert adjusted_rand_index(reference.labels, result.labels) == 1.0
+
+
+def test_covariances_below_the_normal_range_fall_back_to_the_whitening_operator(monkeypatch):
+    # at scale 1e-152 a component on repeated points collapses to ridge * I ~ 3e-311, where W^T W overflows
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((6, 2))
+    x = np.vstack([points, points[[0, 0, 0, 1, 1, 1]]])
+    shapes = set()
+
+    def recording(*args):
+        op, logdet = _maha_logdet(*args)
+        shapes.add(op.shape)
+        return op, logdet
+
+    monkeypatch.setattr(mixtures, "_maha_logdet", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mixture_fit in (gmm_fit, tmm_fit):
+            reference, _ = mixture_fit(Dataset(x), 4, BaselineConfig(seed=1))
+            result, _ = mixture_fit(Dataset(x * 1e-152), 4, BaselineConfig(seed=1))
+            assert adjusted_rand_index(reference.labels, result.labels) == 1.0
+    assert shapes == {(4, 6), (8, 3)}  # the quadratic form (K, p+1+q) and the whitening operator (p*K, p+1)
 
 
 class TestGmm:
