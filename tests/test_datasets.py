@@ -164,12 +164,12 @@ class TestBlobs:
             ({"center_box": 1e308}, "2 \\* center_box finite"),  # numpy's uniform needs the box width finite
             ({"cluster_std": math.inf}, "cluster_std must be finite"),
             ({"cluster_std": math.nan}, "cluster_std must be finite"),
-            ({"cluster_std": 1e308}, "samples must be finite"),  # overflowed in numpy's multiply
             ({"seed": -1}, "seed must be >= 0"),
             ({"seed": 1.5}, "seed must be an integer"),
             ({"n_clusters": 2.5}, "n_clusters must be an integer"),
             ({"per_cluster": 5.0}, "per_cluster must be an integer"),
             ({"n_features": "2"}, "n_features must be an integer"),
+            ({"cluster_std": 1e308}, "samples must be finite"),  # overflowed in numpy's multiply
         ],
     )
     def test_bad_inputs_are_domain_errors(self, kwargs, message):
