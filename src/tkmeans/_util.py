@@ -39,6 +39,11 @@ def check_k(k: int, n: int) -> int:
     return k
 
 
+# Points per block of a pass over the data: the EM passes of ``core`` and ``mixtures`` and the
+# hard-assignment sweeps.  Data of up to BLOCK points run as one block.
+BLOCK = 4096
+
+
 def blocks(n: int, size: int):
     """(start, stop) of each block of ``size`` consecutive points among ``n``, the last one short."""
     return ((start, min(start + size, n)) for start in range(0, n, size))
@@ -100,12 +105,66 @@ def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=Non
     return d2
 
 
-def dists_to(points: np.ndarray, metric: str = "sq"):
-    """The (N, K) distances of ``points`` to given centers; "sq" calls the kernel over one distance block."""
+def dists_to(points: np.ndarray, k: int, metric: str = "sq"):
+    """The per-block distance kernel of a hard-assignment fit on ``points`` with ``k`` centers.
+
+    Returns ``dists(centers, start, stop)``, the (K, stop-start) distances
+    of ``centers`` to ``points[start:stop]``, squared Euclidean ("sq") or
+    Manhattan ("l1"), written into one flat buffer of K * min(N, BLOCK)
+    floats that every call reuses, so a result lives until the next call.
+    "sq" takes its columns of the one distance block built here; "l1"
+    reuses a second buffer of the same size for ``pairwise_l1_dists``.
+    """
+    size = k * min(points.shape[0], BLOCK)
+    buf = np.empty(size)
     if metric == "l1":
-        return lambda centers: pairwise_l1_dists(points, centers)
-    block = distance_block(points)
-    return lambda centers: pairwise_sq_dists(centers, points, block=block).T
+        work = np.empty(size)
+        return lambda centers, start, stop: pairwise_l1_dists(
+            centers, points[start:stop], out=block_view(buf, k, stop - start),
+            work=block_view(work, k, stop - start))
+    rows, mean = distance_block(points)
+    return lambda centers, start, stop: pairwise_sq_dists(
+        centers, points[start:stop], block=(rows[:, start:stop], mean), out=block_view(buf, k, stop - start))
+
+
+def arg_extreme(a: np.ndarray, largest: bool = False, index=None, value=None):
+    """For each column of the (K, B) ``a``, the first row index of its minimum (``largest``: maximum) and the value.
+
+    The extreme of each column comes from one ufunc reduction over the
+    rows, and a walk over the rows from last to first marks where each row
+    attains it, so the lowest such row wins and only B-vectors are held:
+    numpy's ``argmin(axis=0)`` of a C-ordered matrix first copies all of it
+    into the other layout.  The value is then gathered at the index, as the
+    reduction may return either sign where -0.0 and 0.0 tie.  On finite
+    input the result is bit-identical to ``argmin``/``argmax`` and the
+    gathered value.  Returns ``(index, value)``, written into the given
+    B-vectors when passed.
+    """
+    k, b = a.shape
+    extreme = (np.maximum if largest else np.minimum).reduce(a, axis=0)
+    index = np.empty(b, dtype=np.intp) if index is None else index
+    index.fill(k - 1)
+    hit = np.empty(b, dtype=bool)
+    for j in range(k - 2, -1, -1):
+        np.equal(a[j], extreme, out=hit)
+        np.putmask(index, hit, j)
+    value = extreme if value is None else value
+    value[...] = a[index, np.arange(b)]
+    return index, value
+
+
+def nearest(dists, centers: np.ndarray, n: int):
+    """Each of the ``n`` points' nearest center under the kernel ``dists`` (``dists_to``) and its distance.
+
+    One call of the kernel per block of ``BLOCK`` points, each reduced by
+    ``arg_extreme`` into N-vectors made here, so ties go to the lowest
+    center index and no (N, K) array is built.
+    """
+    assign = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
+    for start, stop in blocks(n, BLOCK):
+        arg_extreme(dists(centers, start, stop), index=assign[start:stop], value=dist[start:stop])
+    return assign, dist
 
 
 def converged(loss: float, prev: float | None, tol: float) -> bool:
@@ -151,18 +210,20 @@ def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, healthy: np.ndarray
     return hi if eta >= 0.0 else min(max(-1.0 / eta, lo), hi)
 
 
-def pairwise_l1_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Manhattan distances, shape (N, K).
+def pairwise_l1_dists(centers: np.ndarray, points: np.ndarray, *, out=None, work=None) -> np.ndarray:
+    """Manhattan distances of ``centers`` to ``points``, shape (K, B), into ``out`` when given.
 
-    Accumulated one coordinate at a time, so one (N, K) buffer is the only
-    temporary, whatever p is.  The coordinates are added in order, which
-    matches numpy's row sum bit for bit for p < 8.
+    Accumulated one coordinate at a time, so one (K, B) buffer, ``work``
+    when given, is the only temporary, whatever p is.  The coordinates are
+    added in order, which matches numpy's row sum bit for bit for p < 8.
     """
-    d1 = np.zeros((x.shape[0], centers.shape[0]))
-    buf = np.empty_like(d1)
-    for col, c in zip(x.T, centers.T):
-        np.subtract(col[:, None], c, out=buf)
-        d1 += np.abs(buf, out=buf)
+    shape = (centers.shape[0], points.shape[0])
+    d1 = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
+    cols, cs = points.T, centers.T
+    np.abs(np.subtract(cs[0][:, None], cols[0], out=d1), out=d1)
+    for col, c in zip(cols[1:], cs[1:]):
+        d1 += np.abs(np.subtract(c[:, None], col, out=work), out=work)
     return d1
 
 
@@ -283,19 +344,21 @@ def reseed_empty_clusters(x, assign, centers, dist_assigned, k, metric="sq"):
 def hard_assignment_loop(x, centers, k, max_iter, dists, update, metric="sq", loss=None):
     """The sweeps of k-means, k-medians, k-medoids and ``core.fit_fast``; returns (labels, centers, trace).
 
-    A sweep assigns each point to its nearest center under ``dists(centers)``
-    (the fit's ``dists_to(x, metric)``), re-seeds empty clusters under
-    ``metric``, traces the assigned distances' sum (or ``loss``) and calls
-    ``update(assign, dist, moved, repeated, centers)``, ``repeated`` meaning
-    the previous sweep's assignment and re-seeds.  The update returns the
-    next centers, kept either way, and whether to stop.
+    A sweep assigns each point to its nearest center (``nearest``: blocks of
+    ``BLOCK`` points through the fit's per-block kernel ``dists``, from
+    ``dists_to(x, k, metric)``, into its one (K, B) buffer), re-seeds empty
+    clusters under ``metric``, traces the assigned distances' sum (or
+    ``loss``) and calls ``update(assign, dist, moved, repeated, centers)``,
+    ``repeated`` meaning the previous sweep's assignment and re-seeds.  The
+    update returns the next centers, kept either way, and whether to stop.
+    A sweep holds the N-vectors of its assignment and distances and the
+    previous sweep's assignment, and no (N, K) array.
     """
     trace: list[float] = []
     prev = prev_moved = None
     for _ in range(max_iter):
-        d = dists(centers)
-        assign = d.argmin(axis=1)
-        dist = d[np.arange(x.shape[0]), assign]
+        # fresh N-vectors each sweep: ``prev`` keeps the last sweep's assignment, not an alias of this one
+        assign, dist = nearest(dists, centers, x.shape[0])
         assign, centers, dist, moved = reseed_empty_clusters(x, assign, centers, dist, k, metric)
         trace.append(float(dist.sum() if loss is None else loss(dist)))
         repeated = prev is not None and moved == prev_moved and np.array_equal(assign, prev)

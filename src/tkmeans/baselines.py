@@ -7,10 +7,12 @@ Euclidean distance; k-medoids and k-medians work in Manhattan (L1)
 distance, with the alternating Voronoi update rather than full PAM swaps;
 each medoid is exact, from one sort of its cluster per coordinate.
 These fits and ``core.fit_fast`` share one sweep loop,
-``_util.hard_assignment_loop``, over one distance block of the data per
-fit for squared distances.  k-means and k-medians stop when the assignment
-repeats, before updating; k-medoids when the medoid indices repeat;
-``fit_fast`` when the largest center shift falls below ``tol``.
+``_util.hard_assignment_loop``, which takes the data in blocks of
+``_util.BLOCK`` points through one reused (K, B) distance buffer per fit
+(for squared distances, over one distance block of the data per fit), so
+no fit holds an (N, K) array.  k-means and k-medians stop when the
+assignment repeats, before updating; k-medoids when the medoid indices
+repeat; ``fit_fast`` when the largest center shift falls below ``tol``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:
 def _loop(x, centers, k, cfg, update, metric) -> ClusteringResult:
     """Run the shared hard-assignment loop from ``centers`` under ``metric``; the wall time covers the loop alone."""
     start = time.perf_counter()
-    dists = _util.dists_to(x, metric)
+    dists = _util.dists_to(x, k, metric)
     labels, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update, metric)
     return ClusteringResult(labels, centers, np.asarray(trace), len(trace), time.perf_counter() - start)
 

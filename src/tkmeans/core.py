@@ -155,7 +155,7 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
 
 # Points per block of an EM pass.  Each of the pass's three (K, B) buffers holds B*K
 # floats, about 2**16 (512 KB) at K=16, and data of up to B points run as one block.
-_BLOCK = 4096
+_BLOCK = _util.BLOCK
 
 
 def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
@@ -373,7 +373,7 @@ def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False,
             log_u = np.subtract(_util.log_u_offset(model.nu, model.p), lp, out=lp) if free_nu else None
             _add_sums(sums, tau.T, np.multiply(tau.T, u, out=u), rows_b, log_u)
         if labels is not None:
-            labels[start:stop] = tau.argmax(axis=1)
+            _util.arg_extreme(tau.T, largest=True, index=labels[start:stop])
     return loss
 
 
@@ -438,7 +438,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
         model = TkModel(model.centers, model.alpha, _util.NU_START)
         model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
     if n <= _BLOCK:
-        labels = _util.block_view(bufs[2], k, n).T.argmax(axis=1)
+        labels, _ = _util.arg_extreme(_util.block_view(bufs[2], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)
         _pass(x, rows, mean, model, bufs, totals, labels=labels)
@@ -464,7 +464,7 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
     sweeps are ``_util.hard_assignment_loop``'s, so empty clusters re-seed
     as in k-means.  Stops when the largest center shift falls below ``tol``,
     keeping the moved centers; the labels are the nearest final centers,
-    from the sweeps' distance block.
+    from one more blocked sweep of the same distance kernel.
     """
     cfg = cfg or FitConfig()
     k = _util.check_k(k, data.n)
@@ -474,7 +474,7 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
 
     start = time.perf_counter()
     centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
-    dists = _util.dists_to(x)
+    dists = _util.dists_to(x, k)
 
     def update(assign, dist, moved, repeated, centers):
         weights = 1.0 / (c + dist)
@@ -488,7 +488,7 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
 
     _, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update,
                                                    loss=lambda d: np.log1p(_divide(d, c)).sum())
-    labels = dists(centers).argmin(axis=1)
+    labels, _ = _util.nearest(dists, centers, x.shape[0])
     wall = time.perf_counter() - start
     model = TkModel(centers, cfg.fast_alpha, nu)
     return ClusteringResult(labels, centers.copy(), np.asarray(trace), len(trace), wall, model=model)

@@ -95,7 +95,7 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
 
 # Points per block of an EM pass.  A block fills up to three (K, B) buffers and, when p >= 2K, one
 # (p*K, B) buffer, which every block reuses; data of up to B points run as one block.
-_BLOCK = 4096
+_BLOCK = _util.BLOCK
 
 
 def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray, quad=None):
@@ -443,11 +443,11 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
         e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
         ll = _pass(mom, e, bufs, sums, outer, free_nu)
     if n <= _BLOCK:
-        labels = _util.block_view(bufs[1], k, n).argmax(axis=0)
+        labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)
         for s, t, _, _, r, _, _ in _e_blocks(mom, e, bufs):
-            labels[s:t] = r.argmax(axis=0)
+            _util.arg_extreme(r, largest=True, index=labels[s:t])
     wall = time.perf_counter() - start
     model = MixtureModel(weights.copy(), means.copy(), covs.copy(), nu=nu)
     result = ClusteringResult(labels, means.copy(), np.asarray(trace), len(trace), wall, model=model)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tkmeans.baselines import BaselineConfig, _medoid_of, kmeans_fit, kmeanspp_seed, kmedians_fit, kmedoids_fit
+from tkmeans.core import FitConfig, fit_fast
 from tkmeans.datasets import Dataset, generate_gaussian_blobs
 from tkmeans.errors import DomainError
 
@@ -277,6 +278,23 @@ def _exhaustive_best_partition(x, k):
         if cost < best_cost:
             best, best_cost = assign, cost
     return best, best_cost
+
+
+@pytest.mark.parametrize("fit_fn, cfg", [
+    (kmeans_fit, BaselineConfig(seed=0, max_iter=3)), (fit_fast, FitConfig(seed=0, max_iter=3)),
+    (kmedians_fit, BaselineConfig(seed=0, max_iter=3)), (kmedoids_fit, BaselineConfig(seed=0, max_iter=3)),
+], ids=["kmeans", "fit_fast", "kmedians", "kmedoids"])
+def test_peak_memory_of_a_hard_fit_holds_no_n_by_k_matrix(fit_fn, cfg):
+    # 50,000 x 2, K=50: one (N, K) matrix is 20 MB.  Whole-data sweeps peaked at 42.8 MB (k-means,
+    # fit_fast) and 62.1 / 61.3 MB (k-medians / k-medoids); the blocked sweeps at 5.0-6.2 MB.
+    d = generate_gaussian_blobs(50, 1000, 2, seed=0)
+    tracemalloc.start()
+    try:
+        fit_fn(d, 50, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestExactRecoveryOnCoincidentPoints:

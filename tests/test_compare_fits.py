@@ -10,9 +10,9 @@ import bench_pairs  # noqa: E402
 import compare_fits  # noqa: E402
 
 
-def record(labels=(0, 1), centers=((0.0,), (1.0,)), loss_trace=(2.0, 1.0), iterations=2, scale=1.0):
+def record(labels=(0, 1), centers=((0.0,), (1.0,)), loss_trace=(2.0, 1.0), iterations=2, scale=1.0, peak_mb=1.5):
     return {"labels": list(labels), "centers": [list(c) for c in centers],
-            "loss_trace": list(loss_trace), "iterations": iterations, "scale": scale}
+            "loss_trace": list(loss_trace), "iterations": iterations, "scale": scale, "peak_mb": peak_mb}
 
 
 @pytest.mark.parametrize(
@@ -73,12 +73,13 @@ def test_an_entry_keeps_the_moved_labels_and_the_centers_of_a_changed_fit():
     swapped = record(labels=(0, 2, 1, 2), centers=centers, loss_trace=(3.0, 2.0 + 1e-15))
     key = {"algorithm": "tkmeans", "cell": "s1", "seed": 7}
     out = compare_fits.entry({**parent, **key}, {**swapped, **key})
-    assert out == {**key, "class": "coincident components", "gap": 0.0, "scale": 1.0, "iterations": [2, 2],
-                   "moved": [[1, 1, 2], [2, 2, 1]], "centers": [parent["centers"], swapped["centers"]]}
+    assert out == {**key, "class": "coincident components", "peak_mb": [1.5, 1.5], "gap": 0.0, "scale": 1.0,
+                   "iterations": [2, 2], "moved": [[1, 1, 2], [2, 2, 1]],
+                   "centers": [parent["centers"], swapped["centers"]]}
     same = compare_fits.entry({**parent, **key}, {**parent, **key})
     assert same["class"] == "bit-identical" and same["moved"] == [] and "centers" not in same
     failed = compare_fits.entry({"error": "NumericalError: overflow", **key}, {**parent, **key})
-    assert failed == {**key, "class": "other", "errors": ["NumericalError: overflow", None]}
+    assert failed == {**key, "class": "other", "peak_mb": [None, 1.5], "errors": ["NumericalError: overflow", None]}
 
 
 def test_matching_failures_are_identical():
@@ -118,3 +119,36 @@ def test_the_em_p16_cell(iris_path):
     algorithm, cell, k, fraction, base, options = cells[-1]
     assert (algorithm, cell, k, fraction) == ("tkmeans", "em-p16", 15, None)
     assert base.samples.shape == (3000, 16) and options == {"tol": 1e-12, "max_iter": 30}
+
+
+def test_the_peak_memory_does_not_change_the_class():
+    assert compare_fits.classify(record(), record(peak_mb=9.0)) == "bit-identical"
+    assert compare_fits.entry({**record(), "algorithm": "kmeans", "cell": "s1", "seed": 1},
+                              {**record(peak_mb=0.5), "algorithm": "kmeans", "cell": "s1", "seed": 1}
+                              )["peak_mb"] == [1.5, 0.5]
+
+
+def test_cell_peaks_are_the_largest_per_side():
+    def pair(algorithm, cell, peaks):
+        return {"algorithm": algorithm, "cell": cell, "peak_mb": list(peaks)}
+
+    pairs = [pair("kmeans", "s1", (0.4, 0.3)), pair("kmeans", "s1", (0.5, 0.2)), pair("kmeans", "iris", (0.1, 0.2)),
+             pair("tmm", "s1", (None, 0.7)), pair("tmm", "s1", (None, 0.6))]
+    assert compare_fits.cell_peaks(pairs) == {("kmeans", "s1"): (0.5, 0.3), ("kmeans", "iris"): (0.1, 0.2),
+                                              ("tmm", "s1"): (None, 0.7)}
+
+
+def test_the_worker_records_each_fits_tracemalloc_peak(monkeypatch, iris_path):
+    # two small cells of the protocol's kind, one of them a hard fit on the S1-like blobs
+    from tkmeans import harness
+
+    s1 = harness.parse_generator_spec(compare_fits.S1_LIKE)
+    monkeypatch.setattr(compare_fits, "cells", lambda path: [("kmeans", "s1", 15, None, s1, {}),
+                                                             ("gmm", "s1", 15, None, s1, {"max_iter": 3})])
+    out = compare_fits.refit([7000, 7001], str(iris_path))
+    assert [(f["algorithm"], f["seed"]) for f in out["fits"]] == [("kmeans", 7000), ("kmeans", 7001),
+                                                                  ("gmm", 7000), ("gmm", 7001)]
+    for fit in out["fits"]:
+        assert "error" not in fit
+        # the (p+2, N) distance block of 1500 points alone is 48 KB; the whole fit stays well under 5 MB
+        assert 0.048 < fit["peak_mb"] < 5.0

@@ -676,7 +676,8 @@ class TestFitFast:
         ids=["kmeans", "kmeans++", "fit_fast"],
     )
     def test_hard_assignment_fits_build_one_distance_block(self, monkeypatch, fit_fn, cfg):
-        # every sweep, and fit_fast's final labels, take their distances from that block through the kernel
+        # every sweep, and fit_fast's final labels, take their distances from that block through the kernel,
+        # one call per block of points (90 points in blocks of 32 here), all into one reused buffer
         from tkmeans import _util
 
         built, used = [], []
@@ -687,15 +688,21 @@ class TestFitFast:
             return built[-1]
 
         def counting(centers, points, **kwargs):
-            used.append(kwargs["block"])
+            used.append(kwargs)
             return kernel(centers, points, **kwargs)
 
         monkeypatch.setattr(_util, "distance_block", building)
         monkeypatch.setattr(_util, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(_util, "BLOCK", 32)
         d = generate_gaussian_blobs(3, 30, 2, seed=1)
         r = fit_fn(d, 3, cfg)
         assert r.iterations > 1 and len(built) == 1
-        assert len(used) == r.iterations + (fit_fn is fit_fast) and all(b is built[0] for b in used)
+        assert len(used) == 3 * (r.iterations + (fit_fn is fit_fast))
+        rows, mean = built[0]
+        first = used[0]["out"]
+        for u in used:
+            assert u["block"][0].base is rows and u["block"][1] is mean
+            assert u["out"].shape[0] == 3 and np.shares_memory(u["out"], first)
 
     def test_labels_are_the_block_kernel_argmin_at_the_returned_centers(self):
         from tkmeans import _util

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tkmeans import _util
-from tkmeans.baselines import BaselineConfig, kmeans_fit, kmedoids_fit
+from tkmeans.baselines import BaselineConfig, kmeans_fit, kmedians_fit, kmedoids_fit
 from tkmeans.core import FitConfig, fit, fit_fast
 from tkmeans.datasets import Dataset, generate_gaussian_blobs, load_csv_labeled, standardize
 from tkmeans.errors import NumericalError
@@ -121,24 +121,127 @@ class TestPairwiseL1Dists:
         for n, k in [(300, 4), (1500, 15), (20, 20)]:
             x, centers = self._data(n, k, p)
             expected = np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)
-            assert np.array_equal(_util.pairwise_l1_dists(x, centers), expected)
+            assert np.array_equal(_util.pairwise_l1_dists(centers, x), expected.T)
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_wide_data_within_rounding_of_the_row_sum(self, p):
         x, centers = self._data(3000, 15, p)
-        expected = np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2)
-        assert (np.abs(_util.pairwise_l1_dists(x, centers) - expected) <= 1e-15 * expected).all()
+        expected = np.abs(x[:, None, :] - centers[None, :, :]).sum(axis=2).T
+        assert (np.abs(_util.pairwise_l1_dists(centers, x) - expected) <= 1e-15 * expected).all()
 
     def test_memory_stays_below_the_broadcast_temporary(self):
         n, k, p = 4000, 20, 32
         x, centers = self._data(n, k, p)
         tracemalloc.start()
         try:
-            _util.pairwise_l1_dists(x, centers)
+            _util.pairwise_l1_dists(centers, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * k * p * 8 / 3
+
+
+    def test_into_given_buffers(self):
+        x, centers = self._data(50, 4, 3)
+        out, work = np.full((4, 50), np.nan), np.full((4, 50), np.nan)
+        got = _util.pairwise_l1_dists(centers, x, out=out, work=work)
+        assert got is out and np.array_equal(got, _util.pairwise_l1_dists(centers, x))
+
+
+def _numpy_extreme(a, largest):
+    index = a.argmax(axis=0) if largest else a.argmin(axis=0)
+    return index, a[index, np.arange(a.shape[1])]
+
+
+class TestArgExtreme:
+    @staticmethod
+    def _same(got, expected):
+        (index, value), (ref_index, ref_value) = got, expected
+        assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
+        assert value.tobytes() == ref_value.tobytes()
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["argmin", "argmax"])
+    @pytest.mark.parametrize("k, b", [(1, 1), (1, 300), (7, 1), (15, 1500), (50, 4096)])
+    def test_bit_identical_to_numpy_on_random_data(self, k, b, largest):
+        a = np.random.default_rng(k * b).normal(0, 3, (k, b))
+        self._same(_util.arg_extreme(a, largest), _numpy_extreme(a, largest))
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["argmin", "argmax"])
+    @pytest.mark.parametrize("k, b", [(1, 1), (2, 1), (3, 500), (40, 2000)])
+    def test_ties_on_an_integer_grid_go_to_the_first_index(self, k, b, largest):
+        a = np.random.default_rng(k + b).integers(0, 3, (k, b)).astype(float)
+        self._same(_util.arg_extreme(a, largest), _numpy_extreme(a, largest))
+        flat = np.zeros((k, b))
+        assert (_util.arg_extreme(flat, largest)[0] == 0).all()
+
+    def test_signed_zeros_tie_and_keep_the_first_rows_bits(self):
+        a = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [2.0, -0.0, 0.0, -1.0]])
+        for largest in (False, True):
+            self._same(_util.arg_extreme(a, largest), _numpy_extreme(a, largest))
+
+    def test_writes_into_given_vectors(self):
+        a = np.random.default_rng(1).normal(0, 1, (5, 40))
+        index, value = np.full(100, -1, dtype=np.intp), np.full(100, np.nan)
+        got = _util.arg_extreme(a, index=index[10:50], value=value[10:50])
+        assert np.shares_memory(got[0], index) and np.shares_memory(got[1], value)
+        self._same((index[10:50], value[10:50]), _numpy_extreme(a, False))
+        assert (index[:10] == -1).all() and np.isnan(value[50:]).all()
+
+    def test_peak_holds_a_few_b_vectors(self):
+        # numpy's argmin over the rows of a C-ordered (50, 100000) matrix copies all 40 MB of it first
+        k, b = 50, 100_000
+        a = np.random.default_rng(2).random((k, b))
+        for largest in (False, True):
+            tracemalloc.start()
+            try:
+                _util.arg_extreme(a, largest)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * b * 8
+
+
+class TestNearest:
+    @pytest.mark.parametrize("metric", ["sq", "l1"])
+    def test_blocks_match_the_whole_matrix(self, monkeypatch, metric):
+        # blocks of 7 cut the 200 points into 29 blocks, the last one short
+        rng = np.random.default_rng(4)
+        x = rng.integers(-3, 4, (200, 2)).astype(float)  # grid points: many exact ties
+        centers = rng.integers(-3, 4, (6, 2)).astype(float)
+        if metric == "sq":
+            whole = _util.pairwise_sq_dists(centers, x, block=_util.distance_block(x))
+        else:
+            whole = _util.pairwise_l1_dists(centers, x)
+        monkeypatch.setattr(_util, "BLOCK", 7)
+        assign, dist = _util.nearest(_util.dists_to(x, 6, metric), centers, 200)
+        assert np.array_equal(assign, whole.argmin(axis=0))
+        assert dist.tobytes() == whole[assign, np.arange(200)].tobytes()
+
+    def test_one_buffer_per_kernel(self, monkeypatch):
+        monkeypatch.setattr(_util, "BLOCK", 16)
+        x = np.random.default_rng(5).normal(0, 1, (40, 3))
+        for metric in ("sq", "l1"):
+            dists = _util.dists_to(x, 4, metric)
+            first, last = dists(x[:4], 0, 16), dists(x[:4], 32, 40)
+            assert first.shape == (4, 16) and last.shape == (4, 8)
+            assert np.shares_memory(first, last)
+
+
+class TestBlockedSweeps:
+    @pytest.mark.parametrize("fit_fn, cfg", [
+        (kmeans_fit, BaselineConfig(seed=2)), (kmeans_fit, BaselineConfig(seed=2, init="kmeanspp")),
+        (kmedians_fit, BaselineConfig(seed=2)), (kmedoids_fit, BaselineConfig(seed=2)),
+        (fit_fast, FitConfig(seed=2, fast_alpha=0.1)),
+    ], ids=["kmeans", "kmeans++", "kmedians", "kmedoids", "fit_fast"])
+    def test_blocks_of_seven_points_give_the_one_block_fit_bit_for_bit(self, monkeypatch, fit_fn, cfg):
+        d = generate_gaussian_blobs(5, 40, 2, cluster_std=1.5, seed=6)
+        whole = fit_fn(d, 5, cfg)
+        monkeypatch.setattr(_util, "BLOCK", 7)
+        blocked = fit_fn(d, 5, cfg)
+        assert whole.iterations > 1 and blocked.iterations == whole.iterations
+        assert np.array_equal(blocked.labels, whole.labels)
+        assert blocked.centers.tobytes() == whole.centers.tobytes()
+        assert blocked.loss_trace.tobytes() == whole.loss_trace.tobytes()
 
 
 class TestClusterMeans:

@@ -22,7 +22,8 @@ and ``max_iter=30``.
 
 Each tree's fits run in their own subprocess, with ``PYTHONPATH=DIR/src``,
 through ``harness.run_once``, which also records the largest |coordinate|
-of each fit's data as its ``scale``.  Each fit pair is classified, in this
+of each fit's data as its ``scale`` and the ``tracemalloc`` peak of the
+``run_once`` call (the fit and its metrics) as its ``peak_mb``.  Each fit pair is classified, in this
 order, as ``bit-identical`` (labels, centers, loss trace and iteration
 count equal bit for bit, or both fits failed with one message), ``centers
 within 1e-10`` (same labels and iterations, centers at most 1e-10 x scale
@@ -36,9 +37,10 @@ separates it, so rounding can move a point between its members, or move
 the members apart along the direction that separates them.  Within a
 group the labels may differ and the centers may move by up to 1e-7 x
 scale, as long as the group's mean center stays within 1e-10 x scale; a
-single component keeps the 1e-10 x scale bound.  The per-class counts and
-each cell's largest raw center gap go to stdout, and every fit pair to
-``--out`` (see ``entry``).  Standard library only in this process.
+single component keeps the 1e-10 x scale bound.  The per-class counts,
+each cell's largest raw center gap and each cell's largest ``peak_mb`` on
+either side go to stdout, and every fit pair to ``--out`` (see
+``entry``).  Standard library only in this process.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -99,7 +102,12 @@ def refit(seeds: list[int], iris_path: str) -> dict:
                 data = base if fraction is None else datasets.contaminate(
                     base, datasets.ContaminationSpec(fraction, 2.0, seed=seed))
                 spec = harness.RunSpec(algorithm, data, k, **options)
-                result, _ = harness.run_once(spec, seed, data=data)
+                tracemalloc.start()
+                try:
+                    result, _ = harness.run_once(spec, seed, data=data)
+                finally:
+                    record["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+                    tracemalloc.stop()
                 record.update(labels=result.labels.tolist(), centers=result.centers.tolist(),
                               loss_trace=result.loss_trace.tolist(), iterations=result.iterations,
                               scale=float(abs(data.samples).max()))
@@ -162,13 +170,16 @@ def classify(a: dict, b: dict) -> str:
 def entry(a: dict, b: dict) -> dict:
     """One fit pair as ``--out`` writes it.
 
-    Its key, class and either both errors or: the largest center gap, the
-    data scale, both iteration counts and each point whose label differs
-    as ``[index, parent label, change label]``, plus both fits' centers
-    unless the pair is bit-identical or its centers are within 1e-10.
+    Its key, class, both ``tracemalloc`` peaks in MB (None for a fit that
+    failed before its ``run_once``) and either both errors or: the largest
+    center gap, the data scale, both iteration counts and each point whose
+    label differs as ``[index, parent label, change label]``, plus both
+    fits' centers unless the pair is bit-identical or its centers are
+    within 1e-10.
     """
     out = {name: a[name] for name in ("algorithm", "cell", "seed")}
     out["class"] = classify(a, b)
+    out["peak_mb"] = [a.get("peak_mb"), b.get("peak_mb")]
     if "error" in a or "error" in b:
         return {**out, "errors": [a.get("error"), b.get("error")]}
     out.update(gap=center_gap(a, b), scale=a["scale"], iterations=[a["iterations"], b["iterations"]],
@@ -176,6 +187,16 @@ def entry(a: dict, b: dict) -> dict:
     if out["class"] not in ("bit-identical", "centers within 1e-10"):
         out["centers"] = [a["centers"], b["centers"]]
     return out
+
+
+def cell_peaks(pairs: list[dict]) -> dict:
+    """Each cell's largest ``peak_mb`` on the parent and on the change side (None if none), from ``entry`` records."""
+    sides: dict = {}
+    for pair in pairs:
+        for side, peak in zip(sides.setdefault((pair["algorithm"], pair["cell"]), ([], [])), pair["peak_mb"]):
+            if peak is not None:
+                side.append(peak)
+    return {cell: tuple(max(side, default=None) for side in both) for cell, both in sides.items()}
 
 
 def source_tree(name: str, scratch: Path) -> Path:
@@ -227,6 +248,9 @@ def main(argv=None) -> int:
     print(f"total: {len(pairs)}")
     for (algorithm, cell), gap in gaps.items():
         print(f"max center gap {algorithm} {cell}: {gap:.3g}")
+    for (algorithm, cell), peaks in cell_peaks(pairs).items():
+        parent_mb, change_mb = ("-" if mb is None else f"{mb:.3f}" for mb in peaks)
+        print(f"max peak MB {algorithm} {cell}: parent {parent_mb}, change {change_mb}")
     if args.out:
         args.out.write_text(json.dumps(pairs) + "\n", encoding="utf-8")
     return 0 if counts["bit-identical"] == len(pairs) else 1
