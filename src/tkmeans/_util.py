@@ -40,7 +40,8 @@ def check_k(k: int, n: int) -> int:
 
 
 # Points per block of a pass over the data: the EM passes of ``core`` and ``mixtures`` and the
-# hard-assignment sweeps.  Data of up to BLOCK points run as one block.
+# hard-assignment sweeps.  A (K, B) buffer of a pass holds B*K floats, 512 KB at K=16, and every
+# block reuses it; data of up to BLOCK points run as one block.
 BLOCK = 4096
 
 

@@ -10,7 +10,7 @@ update.  The M-step moves every center to its tau*u-weighted mean over
 ``nu`` through a closed-form approximation.
 
 ``fit`` runs one pass over the data per EM iteration, in blocks of
-``_BLOCK`` points (data of up to that many points run as one block).  A
+``_util.BLOCK`` points (data of up to that many points run as one block).  A
 block takes its (K, B) squared distances from one GEMM of the centers
 with its columns of a (p+2, N) block of the data (centered at their mean,
 over their squared norms and a row of ones, ``_util.distance_block``),
@@ -151,11 +151,6 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
     p = xv.shape[0]
     d2 = float(((xv - cv) ** 2).sum())
     return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
-
-
-# Points per block of an EM pass.  Each of the pass's three (K, B) buffers holds B*K
-# floats, about 2**16 (512 KB) at K=16, and data of up to B points run as one block.
-_BLOCK = _util.BLOCK
 
 
 def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
@@ -340,9 +335,9 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
     x, n = data.samples, data.n
     centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
     rows, mean = _util.distance_block(x) if block is None else block
-    scratch = np.empty(k * min(n, _BLOCK)) if scratch is None else scratch
+    scratch = np.empty(k * min(n, _util.BLOCK)) if scratch is None else scratch
     total = 0.0
-    for start, stop in _util.blocks(n, _BLOCK):
+    for start, stop in _util.blocks(n, _util.BLOCK):
         d2 = _util.pairwise_sq_dists(centers, x[start:stop], block=(rows[:, start:stop], mean),
                                      out=_util.block_view(scratch, k, stop - start))
         with np.errstate(over="ignore"):
@@ -364,7 +359,7 @@ def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False,
     """
     k = model.k
     loss = 0.0
-    for start, stop in _util.blocks(x.shape[0], _BLOCK):
+    for start, stop in _util.blocks(x.shape[0], _util.BLOCK):
         rows_b = rows[:, start:stop]
         d2, lp, logt = (_util.block_view(buf, k, stop - start) for buf in bufs)
         lse, tau, u, lp = _e_block(x[start:stop], rows_b, mean, model, d2, lp, logt, totals[start:stop, None])
@@ -430,14 +425,14 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     nu0 = _util.NU_BOUNDS[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
     rows, mean = block = _util.distance_block(x)
-    bufs = [np.empty(k * min(n, _BLOCK)) for _ in range(3)]
+    bufs = [np.empty(k * min(n, _util.BLOCK)) for _ in range(3)]
     totals = np.empty(n)
     model = _initial_model(data, k, cfg, nu0, block, bufs[0])
     model = _run_em(x, rows, mean, model, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace, bufs, totals)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
         model = TkModel(model.centers, model.alpha, _util.NU_START)
         model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
-    if n <= _BLOCK:
+    if n <= _util.BLOCK:
         labels, _ = _util.arg_extreme(_util.block_view(bufs[2], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)

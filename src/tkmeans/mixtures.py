@@ -9,7 +9,7 @@ the global data scatter, and weights to uniform.  Both fits run one EM
 loop (``_em``); the t fit adds the precision weights and the ``nu`` update.
 
 Both fits run one pass over the data per EM iteration, in blocks of
-``_BLOCK`` points (data of up to that many points run as one block), as
+``_util.BLOCK`` points (data of up to that many points run as one block), as
 ``core.fit`` does.  A fit builds one C-ordered moment block of the data
 (``_row_moments``): the rows of ``x - c``, with ``c`` the data mean, a
 row of ones and, when p < 2K, the packed upper triangle ``phi`` of each
@@ -91,11 +91,6 @@ def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if value == 0.0 and np.ptp(x, axis=0).any():
         raise NumericalError("the default ridge underflows float64; rescale the data or pass ridge")
     return value
-
-
-# Points per block of an EM pass.  A block fills up to three (K, B) buffers and, when p >= 2K, one
-# (p*K, B) buffer, which every block reuses; data of up to B points run as one block.
-_BLOCK = _util.BLOCK
 
 
 def _maha_logdet(means: np.ndarray, covs: np.ndarray, c: np.ndarray, quad=None):
@@ -307,7 +302,7 @@ def _e_block(cols: np.ndarray, e, bufs):
 
 def _e_blocks(mom: _Moments, e, bufs):
     """Run the E-step ``e`` block by block; yields ``(start, stop, cols)`` and ``_e_block``'s results."""
-    for start, stop in _util.blocks(mom.cols.shape[1], _BLOCK):
+    for start, stop in _util.blocks(mom.cols.shape[1], _util.BLOCK):
         cols = mom.cols[:, start:stop]
         yield (start, stop, cols, *_e_block(cols, e, bufs))
 
@@ -411,7 +406,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
     covs = np.repeat(cov[None, :, :], k, axis=0)
 
     mom = _row_moments(x, k)
-    rows, b = mom.cols.shape[0], min(n, _BLOCK)
+    rows, b = mom.cols.shape[0], min(n, _util.BLOCK)
     bufs = [None if mom.packed else np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 3)]
     sums = np.empty((k, rows + 2))
     outer = None if mom.packed or constrained_alpha is not None else np.empty((k * p, p))
@@ -442,7 +437,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
                 nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk)
         e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
         ll = _pass(mom, e, bufs, sums, outer, free_nu)
-    if n <= _BLOCK:
+    if n <= _util.BLOCK:
         labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)

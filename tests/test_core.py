@@ -491,12 +491,12 @@ class TestFit:
     @pytest.mark.parametrize("fixed_nu", [3.0, None], ids=["fixed_nu", "free_nu"])
     def test_block_seams_keep_the_one_block_fit(self, monkeypatch, fixed_nu):
         # blocks of 7 cut the 120 points into 18 blocks, the last one short, and the labels take one more pass
-        from tkmeans import core
+        from tkmeans import _util
 
         cfg = FitConfig(seed=4, init="kmeanspp", fixed_nu=fixed_nu, max_iter=60)
         d = generate_gaussian_blobs(4, 30, 3, cluster_std=1.2, seed=8)
         whole = fit(d, 4, cfg)
-        monkeypatch.setattr(core, "_BLOCK", 7)
+        monkeypatch.setattr(_util, "BLOCK", 7)
         blocked = fit(d, 4, cfg)
         assert blocked.iterations == whole.iterations
         assert np.array_equal(blocked.labels, whole.labels)
@@ -507,7 +507,7 @@ class TestFit:
     @pytest.mark.parametrize("block", [4096, 7])
     def test_a_massless_component_is_reseeded_as_in_the_public_loop(self, monkeypatch, block):
         # at nu=200 the far center's tau underflows to 0 everywhere; the fit orders the points by 1/row sum
-        from tkmeans import core
+        from tkmeans import _util
 
         x = np.random.default_rng(6).normal(0, 1, (40, 2))
         d = Dataset(x)
@@ -519,7 +519,7 @@ class TestFit:
         assert e.tau[worst].max() < 0.6 < e.tau.max(axis=1).mean()
         hand = m_step(d, e, model, cfg)
         assert np.array_equal(hand.centers[2], x[worst])
-        monkeypatch.setattr(core, "_BLOCK", block)
+        monkeypatch.setattr(_util, "BLOCK", block)
         r = fit(d, 3, cfg)
         assert np.array_equal(r.centers[2], hand.centers[2])
         assert np.abs(r.centers[:2] - hand.centers[:2]).max() < 1e-12

@@ -8,7 +8,7 @@ import pytest
 
 from tkmeans.baselines import BaselineConfig, kmeans_fit, kmeanspp_seed
 from tkmeans.datasets import Dataset, generate_gaussian_blobs, standardize
-from tkmeans import mixtures
+from tkmeans import _util, mixtures
 from tkmeans.errors import DomainError, NumericalError
 from tkmeans.metrics import adjusted_rand_index
 from tkmeans.mixtures import MixtureModel, _add_moments, _maha_logdet, _row_moments, _scatter, gmm_fit, tmm_fit
@@ -273,7 +273,7 @@ class TestEStepCount:
 
 
 class TestBlockedPass:
-    """The pass over blocks of ``_BLOCK`` points: its seams, its recompute, its memory and its E-step count."""
+    """The pass over blocks of ``_util.BLOCK`` points: its seams, its recompute, its memory and its E-step count."""
 
     def test_slab_sums_match_numpys_sum_over_the_first_axis(self):
         rng = np.random.default_rng(12)
@@ -298,7 +298,7 @@ class TestBlockedPass:
             calls.append(1)
             return _maha_logdet(*args)
 
-        monkeypatch.setattr(mixtures, "_BLOCK", 7)
+        monkeypatch.setattr(_util, "BLOCK", 7)
         monkeypatch.setattr(mixtures, "_maha_logdet", counting)
         blocked, model = fit(d, 4, cfg, **kwargs)
         # one E-step per pass; the labels pass reuses the last one
