@@ -30,6 +30,25 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_positive(name: str, value) -> float:
+    """``value`` as a float if it is a number, finite and > 0; anything else raises ``DomainError``."""
+    try:
+        if 0 < value < math.inf:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def finite(what: str, compute) -> np.ndarray:
+    """``compute()`` with overflow silenced; a non-finite result raises ``NumericalError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(compute())
+    if not np.isfinite(value).all():
+        raise NumericalError(f"{what} overflows float64; rescale the data")
+    return value
+
+
 def check_k(k: int, n: int) -> int:
     k = as_int("K", k)
     if k < 1:
@@ -58,13 +77,10 @@ def block_view(buf: np.ndarray, rows: int, b: int) -> np.ndarray:
 def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The C-ordered (p+2, N) distance block of ``points`` and the mean ``m`` it is centered at.
 
-    Rows 0..p-1 hold ``(points - m)^T``, row p holds ``|points - m|^2`` and
-    row p+1 holds ones.  A caller that measures many sets of centers
-    against the same points builds it once and passes column blocks of it
-    to ``pairwise_sq_dists``; the product of weights with a column block's
-    transpose gives their weighted sums of ``points - m``, of ``|points -
-    m|^2`` and of 1 in one GEMM.  An overflow here leaves a non-finite
-    entry, which the distances built on the block then report.
+    Rows 0..p-1 hold ``(points - m)^T``, row p ``|points - m|^2`` and row
+    p+1 ones, so weights times a column block's transpose give their
+    weighted sums of ``points - m``, of ``|points - m|^2`` and of 1.  An
+    overflow leaves a non-finite entry, which ``pairwise_sq_dists`` reports.
     """
     n, p = points.shape
     block = np.empty((p + 2, n))
@@ -345,15 +361,13 @@ def reseed_empty_clusters(x, assign, centers, dist_assigned, k, metric="sq"):
 def hard_assignment_loop(x, centers, k, max_iter, dists, update, metric="sq", loss=None):
     """The sweeps of k-means, k-medians, k-medoids and ``core.fit_fast``; returns (labels, centers, trace).
 
-    A sweep assigns each point to its nearest center (``nearest``: blocks of
-    ``BLOCK`` points through the fit's per-block kernel ``dists``, from
-    ``dists_to(x, k, metric)``, into its one (K, B) buffer), re-seeds empty
+    A sweep assigns each point to its nearest center (``nearest`` under the
+    fit's kernel ``dists``, from ``dists_to(x, k, metric)``), re-seeds empty
     clusters under ``metric``, traces the assigned distances' sum (or
     ``loss``) and calls ``update(assign, dist, moved, repeated, centers)``,
     ``repeated`` meaning the previous sweep's assignment and re-seeds.  The
     update returns the next centers, kept either way, and whether to stop.
-    A sweep holds the N-vectors of its assignment and distances and the
-    previous sweep's assignment, and no (N, K) array.
+    No (N, K) array is held.
     """
     trace: list[float] = []
     prev = prev_moved = None

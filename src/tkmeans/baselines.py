@@ -4,15 +4,11 @@ All fits are deterministic for a fixed seed, break assignment ties toward
 the lowest center index, and re-seed empty clusters to the point farthest
 from its assigned center.  k-means and k-means++ work in squared
 Euclidean distance; k-medoids and k-medians work in Manhattan (L1)
-distance, with the alternating Voronoi update rather than full PAM swaps;
-each medoid is exact, from one sort of its cluster per coordinate.
+distance, with the alternating Voronoi update rather than full PAM swaps.
 These fits and ``core.fit_fast`` share one sweep loop,
-``_util.hard_assignment_loop``, which takes the data in blocks of
-``_util.BLOCK`` points through one reused (K, B) distance buffer per fit
-(for squared distances, over one distance block of the data per fit), so
-no fit holds an (N, K) array.  k-means and k-medians stop when the
+``_util.hard_assignment_loop``.  k-means and k-medians stop when the
 assignment repeats, before updating; k-medoids when the medoid indices
-repeat; ``fit_fast`` when the largest center shift falls below ``tol``.
+repeat.
 """
 
 from __future__ import annotations
@@ -43,8 +39,7 @@ class BaselineConfig:
         if _util.as_int("max_iter", self.max_iter) < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         _util.check_seed(self.seed)
-        if not 0 < self.tol < np.inf:
-            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
+        _util.check_positive("tol", self.tol)
 
 
 def kmeanspp_seed(data: Dataset, k: int, seed: int = 0) -> np.ndarray:

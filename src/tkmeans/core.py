@@ -9,25 +9,10 @@ update.  The M-step moves every center to its tau*u-weighted mean over
 *all* samples, re-estimates ``alpha`` against the new centers, and updates
 ``nu`` through a closed-form approximation.
 
-``fit`` runs one pass over the data per EM iteration, in blocks of
-``_util.BLOCK`` points (data of up to that many points run as one block).  A
-block takes its (K, B) squared distances from one GEMM of the centers
-with its columns of a (p+2, N) block of the data (centered at their mean,
-over their squared norms and a row of ones, ``_util.distance_block``),
-runs the E-step in (K, B) buffers that every block reuses, adds its
-share of the negative log likelihood, and adds to the M-step's
-sufficient statistics (Neal & Hinton's view of EM): ``sum w (x-m)``,
-``sum w |x-m|^2`` and the mass ``sum w`` from one more GEMM of the
-weights ``w = tau*u`` with the same rows, ``sum tau`` and, when ``nu`` is
-free, ``sum tau E ln u``.  The M-step reads the centers, ``alpha`` and
-``nu`` off those sums, so a pass scores one model and gathers the next
-one's update, and I iterations take I+1 passes.  A fit allocates no (N,
-K) array: at 50,000 x 2, K=50 its buffers hold 5 MB.  The public
-``e_step``, ``m_step``, ``log_l2_loss`` and ``negative_log_likelihood``
-run the same block functions with the whole data as one block, into
-fresh (K, N) arrays returned as (N, K) views.  A distance or scaled
-distance that overflows float64, or a sum of the M-step that does,
-raises ``NumericalError``.
+``fit`` runs one blocked pass over the data per EM iteration (``_pass``).
+The public ``e_step``, ``m_step``, ``log_l2_loss`` and
+``negative_log_likelihood`` run the same block functions with the whole
+data as one block.
 
 ``fit_fast`` is the alpha->0, fixed-nu limit: hard nearest-center
 assignment with inverse-squared-distance weights inside each cluster.  It
@@ -78,10 +63,8 @@ class TkModel:
             raise DomainError(f"centers must be a (K, p) matrix, got shape {centers.shape}")
         if not np.isfinite(centers).all():
             raise DomainError("centers must be finite")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise DomainError(f"nu must be finite and > 0, got {self.nu}")
+        _util.check_positive("alpha", self.alpha)
+        _util.check_positive("nu", self.nu)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
 
@@ -124,10 +107,9 @@ class FitConfig(BaselineConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fixed_nu is not None and not 0 < self.fixed_nu < math.inf:
-            raise DomainError(f"fixed_nu must be finite and > 0, got {self.fixed_nu}")
-        if not 0 < self.fast_alpha < math.inf:
-            raise DomainError(f"fast_alpha must be finite and > 0, got {self.fast_alpha}")
+        if self.fixed_nu is not None:
+            _util.check_positive("fixed_nu", self.fixed_nu)
+        _util.check_positive("fast_alpha", self.fast_alpha)
 
 
 def log_t_density(x, center, alpha: float, nu: float) -> float:
@@ -144,10 +126,8 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
         raise DomainError(f"x and center must be vectors of one shape, got {xv.shape} and {cv.shape}")
     if not (np.isfinite(xv).all() and np.isfinite(cv).all()):
         raise DomainError("x and center must be finite")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be finite and > 0, got {alpha}")
-    if not (math.isfinite(nu) and nu > 0):
-        raise DomainError(f"nu must be finite and > 0, got {nu}")
+    _util.check_positive("alpha", alpha)
+    _util.check_positive("nu", nu)
     p = xv.shape[0]
     d2 = float(((xv - cv) ** 2).sum())
     return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
@@ -336,16 +316,11 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
     centers, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
     rows, mean = _util.distance_block(x) if block is None else block
     scratch = np.empty(k * min(n, _util.BLOCK)) if scratch is None else scratch
-    total = 0.0
-    for start, stop in _util.blocks(n, _util.BLOCK):
-        d2 = _util.pairwise_sq_dists(centers, x[start:stop], block=(rows[:, start:stop], mean),
-                                     out=_util.block_view(scratch, k, stop - start))
-        with np.errstate(over="ignore"):
-            total += float(d2.min(axis=0).sum())
-    alpha0 = total / n / data.p
-    if not math.isfinite(alpha0):
-        raise NumericalError("squared distances to the initial centers overflow float64; rescale the data")
-    return TkModel(centers, max(alpha0, _ALPHA_FLOOR), nu0)
+    total = _util.finite("the sum of squared distances to the initial centers", lambda: sum(
+        _util.pairwise_sq_dists(centers, x[start:stop], block=(rows[:, start:stop], mean),
+                                out=_util.block_view(scratch, k, stop - start)).min(axis=0).sum()
+        for start, stop in _util.blocks(n, _util.BLOCK)))
+    return TkModel(centers, max(float(total) / n / data.p, _ALPHA_FLOOR), nu0)
 
 
 def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False, labels=None) -> float:
@@ -441,15 +416,6 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)
 
 
-def _divide(d2: np.ndarray, scale: float) -> np.ndarray:
-    """``d2 / scale``; raises ``NumericalError`` where a quotient overflows float64."""
-    try:
-        with np.errstate(over="raise"):
-            return np.divide(d2, scale)
-    except FloatingPointError:
-        raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
-
-
 def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult:
     """Fast variant: hard assignment plus inverse-squared-distance weights.
 
@@ -481,8 +447,9 @@ def fit_fast(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringR
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         return new_centers, shift < cfg.tol
 
-    _, centers, trace = _util.hard_assignment_loop(x, centers, k, cfg.max_iter, dists, update,
-                                                   loss=lambda d: np.log1p(_divide(d, c)).sum())
+    _, centers, trace = _util.hard_assignment_loop(
+        x, centers, k, cfg.max_iter, dists, update,
+        loss=lambda d: np.log1p(_util.finite("a scaled squared distance", lambda: d / c)).sum())
     labels, _ = _util.nearest(dists, centers, x.shape[0])
     wall = time.perf_counter() - start
     model = TkModel(centers, cfg.fast_alpha, nu)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import as_int, check_seed
+from ._util import as_int, check_positive, check_seed
 from .errors import DomainError, FormatError
 
 __all__ = [
@@ -108,6 +108,18 @@ def _dense_remap(raw) -> np.ndarray:
     return out
 
 
+def _numeric_lines(path):
+    """Yield (line number, values) for each non-blank line of ``path`` whose tokens all parse as numbers."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                values = [float(t) for t in line.split()]
+            except ValueError:
+                continue
+            if values:
+                yield lineno, values
+
+
 def load_benchmark_text(path, label_path=None, name: str | None = None) -> Dataset:
     """Load a whitespace-delimited coordinate file, optionally with a partition file.
 
@@ -118,37 +130,15 @@ def load_benchmark_text(path, label_path=None, name: str | None = None) -> Datas
     """
     path = Path(path)
     rows: list[list[float]] = []
-    width: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError:
-                continue
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path}: row {lineno}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
+    for lineno, values in _numeric_lines(path):
+        if rows and len(values) != len(rows[0]):
+            raise FormatError(f"{path}: row {lineno}: expected {len(rows[0])} columns, got {len(values)}")
+        rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no numeric rows found")
     labels = None
     if label_path is not None:
-        raw: list[float] = []
-        with open(label_path, encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                if len(tokens) != 1:
-                    continue
-                try:
-                    raw.append(float(tokens[0]))
-                except ValueError:
-                    continue
+        raw = [values[0] for _, values in _numeric_lines(label_path) if len(values) == 1]
         if len(raw) != len(rows):
             raise FormatError(f"{label_path}: {len(raw)} labels for {len(rows)} samples")
         labels = _dense_remap(raw)
@@ -256,8 +246,7 @@ def generate_gaussian_blobs(
     )
     if min(n_clusters, per_cluster, n_features) < 1:
         raise DomainError("n_clusters, per_cluster and n_features must all be >= 1")
-    if not 0 < cluster_std < math.inf:
-        raise DomainError(f"cluster_std must be finite and > 0, got {cluster_std}")
+    check_positive("cluster_std", cluster_std)
     if not 0.0 <= 2.0 * center_box < math.inf:
         raise DomainError(f"center_box must be finite and >= 0, and 2 * center_box finite, got {center_box}")
     rng = np.random.default_rng(check_seed(seed))

@@ -47,17 +47,22 @@ __all__ = [
     "load_config",
 ]
 
-ALGORITHMS = (
-    "kmeans",
-    "kmeans++",
-    "kmedoids",
-    "kmedians",
-    "gmm",
-    "tmm",
-    "tkmeans",
-    "fast-tkmeans",
-    "fast-tkmeans++",
-)
+# Each algorithm's default init and its fit of (data, spec, (max_iter, tol, seed, init)), in report
+# order; a fit reads only the spec fields its algorithm uses.  The fit functions are looked up in
+# this module's globals at call time, so perfbench's tracer sees them through its rebinding.
+_FITS = {
+    "kmeans": ("random", lambda d, s, a: kmeans_fit(d, s.k, BaselineConfig(*a))),
+    "kmeans++": ("kmeanspp", lambda d, s, a: kmeans_fit(d, s.k, BaselineConfig(*a))),
+    "kmedoids": ("random", lambda d, s, a: kmedoids_fit(d, s.k, BaselineConfig(*a))),
+    "kmedians": ("random", lambda d, s, a: kmedians_fit(d, s.k, BaselineConfig(*a))),
+    "gmm": ("kmeanspp", lambda d, s, a: gmm_fit(d, s.k, BaselineConfig(*a), ridge=s.ridge)[0]),
+    "tmm": ("kmeanspp", lambda d, s, a: tmm_fit(d, s.k, BaselineConfig(*a), ridge=s.ridge, fixed_nu=s.nu)[0]),
+    "tkmeans": ("random", lambda d, s, a: fit(d, s.k, FitConfig(*a, fixed_nu=s.nu))),
+    # nu defaults to 1 inside fit_fast
+    "fast-tkmeans": ("random", lambda d, s, a: fit_fast(d, s.k, FitConfig(*a, fixed_nu=s.nu, fast_alpha=s.fast_alpha))),
+    "fast-tkmeans++": ("kmeanspp", lambda d, s, a: fit_fast(d, s.k, FitConfig(*a, fixed_nu=s.nu, fast_alpha=s.fast_alpha))),
+}
+ALGORITHMS = tuple(_FITS)
 
 
 @dataclass(frozen=True)
@@ -146,27 +151,8 @@ def resolve_dataset(spec: RunSpec) -> Dataset:
 
 
 def _dispatch(spec: RunSpec, data: Dataset, seed: int) -> ClusteringResult:
-    a = spec.algorithm
-    if a in ("kmeans", "kmeans++", "kmedoids", "kmedians"):
-        default_init = "kmeanspp" if a == "kmeans++" else "random"
-        cfg = BaselineConfig(spec.max_iter, spec.tol, seed, spec.init or default_init)
-        fn = {"kmeans": kmeans_fit, "kmeans++": kmeans_fit, "kmedoids": kmedoids_fit, "kmedians": kmedians_fit}[a]
-        return fn(data, spec.k, cfg)
-    if a in ("gmm", "tmm"):
-        cfg = BaselineConfig(spec.max_iter, spec.tol, seed, spec.init or "kmeanspp")
-        if a == "gmm":
-            return gmm_fit(data, spec.k, cfg, ridge=spec.ridge)[0]
-        return tmm_fit(data, spec.k, cfg, ridge=spec.ridge, fixed_nu=spec.nu)[0]
-    if a == "tkmeans":
-        cfg = FitConfig(spec.max_iter, spec.tol, seed, spec.init or "random", fixed_nu=spec.nu)
-        return fit(data, spec.k, cfg)
-    # fast variants: nu defaults to 1 inside fit_fast
-    default_init = "kmeanspp" if a == "fast-tkmeans++" else "random"
-    cfg = FitConfig(
-        spec.max_iter, spec.tol, seed, spec.init or default_init,
-        fixed_nu=spec.nu, fast_alpha=spec.fast_alpha,
-    )
-    return fit_fast(data, spec.k, cfg)
+    init, fit_spec = _FITS[spec.algorithm]
+    return fit_spec(data, spec, (spec.max_iter, spec.tol, seed, spec.init or init))
 
 
 def run_once(spec: RunSpec, seed: int, data: Dataset | None = None):

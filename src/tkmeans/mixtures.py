@@ -8,37 +8,8 @@ clamped to [1, 200].  Means default to k-means++ seeding, covariances to
 the global data scatter, and weights to uniform.  Both fits run one EM
 loop (``_em``); the t fit adds the precision weights and the ``nu`` update.
 
-Both fits run one pass over the data per EM iteration, in blocks of
-``_util.BLOCK`` points (data of up to that many points run as one block), as
-``core.fit`` does.  A fit builds one C-ordered moment block of the data
-(``_row_moments``): the rows of ``x - c``, with ``c`` the data mean, a
-row of ones and, when p < 2K, the packed upper triangle ``phi`` of each
-centered row's outer product.  Each E-step takes the log-determinants
-and a distance operator from one Cholesky of the (K, p, p) covariance
-stack (``_maha_logdet``).  With ``phi`` in the block, the operator is the
-(K, p+1+q) expanded quadratic form ``[2 W^T v | |v|^2 | W^T W]``, with
-``W`` the inverse Cholesky factor and ``v = W(c - mu)``, and one GEMM of
-it with a block's columns writes the (K, B) Mahalanobis distances,
-clamped at 0, straight into the buffer the E-step continues in, as
-``_util.pairwise_sq_dists`` does for Euclidean distances.  Wider data (p
->= 2K) take the (p*K, p+1) whitening operator ``[W | W(c - mu)]``: one
-GEMM with the block's first p+1 rows gives the whitened coordinates,
-whose squares sum into the distances.  One ``exp`` pass on the
-transposed view then gives both the row log-likelihoods and the
-responsibilities ``r``, in place.  A Gaussian ``r`` below the smallest
-normal float times its point's largest is set to 0 before the ``exp``,
-which is far slower on a subnormal result.
-A second GEMM of the weights (``r``, or ``r * u`` for the t fit) with the
-block's columns adds the weighted sums of ``x - c``, the mass and the
-packed second moments that the M-step needs (``_add_moments``); one
-``einsum`` adds the ``nu`` update's ``sum r E ln u``.  With p >= 2K the
-second moments come from the block's weighted copy of the data, written
-into the whitening buffer.  The M-step reads the K means and scatters off
-those sums (``_scatter``), so the Python cost of an iteration does not
-grow with K, and every block reuses the same buffers: a fit holds the
-moment block, up to three (K, B) buffers and, only when p >= 2K, one
-(p*K, B) whitening buffer, and no (N, K) array: at 50,000 x 2, K=50 a
-``tracemalloc`` peak of 6.1 MB (Gaussian) and 9.4 MB (t).
+As in ``core.fit``, an EM iteration is one blocked pass over the data
+(``_pass``), here over a moment block built once per fit (``_row_moments``).
 """
 
 from __future__ import annotations
@@ -72,21 +43,12 @@ class MixtureModel:
     nu: float | None = None
 
 
-def _finite(what: str, compute) -> np.ndarray:
-    """``compute()`` with overflow silenced; a non-finite result raises ``NumericalError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.asarray(compute())
-    if not np.isfinite(value).all():
-        raise NumericalError(f"{what} overflows float64; rescale the data")
-    return value
-
-
 def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if ridge is not None:
         if not 0 <= ridge < math.inf:
             raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
         return float(ridge)
-    value = 1e-6 * float(_finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
+    value = 1e-6 * float(_util.finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
     # data that are not constant need a positive ridge; at tiny scales the variance or 1e-6 of it rounds to 0
     if value == 0.0 and np.ptp(x, axis=0).any():
         raise NumericalError("the default ridge underflows float64; rescale the data or pass ridge")
@@ -168,19 +130,15 @@ class _Moments:
 def _row_moments(x: np.ndarray, k: int) -> _Moments:
     """The data's moment block, once per fit: ``[x - c | 1 | phi]`` as C-ordered rows.
 
-    One GEMM of a block's weights with its columns of the block gives the
-    weighted sums of ``x - c``, the mass and, through ``phi``, the packed
-    second moments about ``c``.  ``phi`` holds N p(p+1)/2 floats, so its
-    memory grows as p^2; it is built only when p < 2K, where it is no
-    larger than one (p*K, N) whitening of the data, and the E-step then
-    takes its distances from all rows of the block (``_maha_logdet``).
-    Each row is a product ``z_a z_b`` of ``z = [x - c; 1]``; ``quad`` holds
-    each row's (a, b) as a flat index of a (p+1, p+1) matrix, and its
-    weight in a quadratic form in ``z``: 2 off the diagonal, 1 on it.
-    Wider data form their second moments from a block's weighted copy
-    (``_add_moments``).  A squared entry that overflows raises
-    ``NumericalError``; every product in ``phi`` is bounded by the larger
-    of two such squares.
+    ``phi`` holds N p(p+1)/2 floats, so its memory grows as p^2; it is
+    built only when p < 2K, where it is no larger than one (p*K, N)
+    whitening of the data, and the E-step then takes its distances from
+    all rows of the block (``_maha_logdet``).  Each row is a product ``z_a
+    z_b`` of ``z = [x - c; 1]``; ``quad`` holds each row's (a, b) as a flat
+    index of a (p+1, p+1) matrix, and its weight in a quadratic form in
+    ``z``: 2 off the diagonal, 1 on it.  A squared entry that overflows
+    raises ``NumericalError``; every product in ``phi`` is bounded by the
+    larger of two such squares.
     """
     n, p = x.shape
     iu, ju = np.triu_indices(p)
@@ -189,7 +147,7 @@ def _row_moments(x: np.ndarray, k: int) -> _Moments:
     with np.errstate(over="ignore", invalid="ignore"):
         c = x.mean(axis=0)
         np.subtract(x, c, out=cols[:p].T)
-    _finite("the data's second moments", lambda: np.abs(cols[:p]).max() ** 2)
+    _util.finite("the data's second moments", lambda: np.abs(cols[:p]).max() ** 2)
     cols[p] = 1.0
     quad = None
     if packed:
@@ -253,14 +211,10 @@ def _e_block(cols: np.ndarray, e, bufs):
     ``cols`` are the block's columns of the moment block and ``e`` is
     ``_e_step``'s tuple.  The (K, B) squared Mahalanobis distances go
     straight into ``bufs[1]`` for the Gaussian fit and ``bufs[2]`` for the
-    t fit.  A packed block (p < 2K) takes them from one GEMM of the
-    quadratic-form operand with all its rows, clamped at 0 like
-    ``_util.pairwise_sq_dists``: no (p*K, B) buffer, and an error near eps
-    times the whitened norms about ``c`` (``_maha_logdet``).  A wider block
-    fills the (p*K, B) buffer ``bufs[0]`` with the whitened coordinates,
-    one GEMM of the whitening operator with its rows ``[x - c; 1]``, and
-    sums their squares over p; so does a packed block whose quadratic form
-    overflowed, in a temporary when ``bufs[0]`` is None.  ``log r`` is
+    t fit, from ``_maha_logdet``'s operator: one GEMM of the quadratic form
+    with all the block's rows, clamped at 0, or the squares of the
+    whitened coordinates in the (p*K, B) ``bufs[0]`` (a temporary when it
+    is None), summed over p.  ``log r`` is
     formed and normalized in place in ``bufs[1]`` (one ``exp`` pass, on
     its transposed view), so ``r`` is (K, B).  The Gaussian fit first sets
     to -inf each ``log r`` more than -ln(tiny) below its point's largest,
@@ -393,16 +347,13 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
         raise DomainError("mixture fits need at least 2 samples")
     x, n, p = data.samples, data.n, data.p
     ridge_v = _default_ridge(x, ridge)
-    if nu is not None and not 0 < nu < math.inf:
-        raise DomainError(f"nu must be finite and > 0, got {nu}")
+    nu = None if nu is None else _util.check_positive("nu", nu)
     start = time.perf_counter()
     weights = np.full(k, 1.0 / k)
     means, _ = _util.init_centers(x, k, np.random.default_rng(cfg.seed), cfg.init)
-    cov = _finite("the data scatter", lambda: np.cov(x, rowvar=False, ddof=0)).reshape(p, p) + ridge_v * np.eye(p)
+    cov = _util.finite("the data scatter", lambda: np.cov(x, rowvar=False, ddof=0)).reshape(p, p) + ridge_v * np.eye(p)
     if constrained_alpha is not None:
-        if not 0 < constrained_alpha < math.inf:
-            raise DomainError(f"constrained_alpha must be finite and > 0, got {constrained_alpha}")
-        cov = constrained_alpha * np.eye(p)
+        cov = _util.check_positive("constrained_alpha", constrained_alpha) * np.eye(p)
     covs = np.repeat(cov[None, :, :], k, axis=0)
 
     mom = _row_moments(x, k)
@@ -487,5 +438,5 @@ def tmm_fit(
     approximation ``core.fit`` uses, clamped to [1, 200].  Runs the EM loop
     of ``gmm_fit``.  Returns (ClusteringResult, MixtureModel).
     """
-    nu = _util.NU_START if fixed_nu is None else float(fixed_nu)
+    nu = _util.NU_START if fixed_nu is None else fixed_nu
     return _em(data, k, cfg, ridge, nu=nu, free_nu=fixed_nu is None)

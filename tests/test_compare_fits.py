@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -152,3 +153,21 @@ def test_the_worker_records_each_fits_tracemalloc_peak(monkeypatch, iris_path):
         assert "error" not in fit
         # the (p+2, N) distance block of 1500 points alone is 48 KB; the whole fit stays well under 5 MB
         assert 0.048 < fit["peak_mb"] < 5.0
+
+
+def test_the_worker_runs_blas_on_one_thread(tmp_path, monkeypatch):
+    # bit-identity must not depend on the caller's shell: some fits differ in the last bits between thread counts
+    seen = {}
+
+    def run(cmd, env, **kwargs):
+        seen.update(env)
+        module = str(tmp_path / "src" / "tkmeans" / "__init__.py")
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps({"module": module, "fits": []}), stderr="")
+
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "2")
+    monkeypatch.setattr(compare_fits.subprocess, "run", run)
+    assert compare_fits.run_tree(tmp_path, "7000") == []
+    assert {name: seen[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} == \
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert seen["PYTHONPATH"] == str(tmp_path / "src")

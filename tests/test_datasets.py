@@ -74,6 +74,13 @@ class TestBenchmarkTextLoader:
         with pytest.raises(FormatError, match="1 labels for 2 samples"):
             load_benchmark_text(f, label_path=lf)
 
+    def test_label_file_keeps_only_lines_of_one_number(self, tmp_path):
+        f = tmp_path / "pts.txt"
+        f.write_text("1 1\n2 2\n")
+        lf = tmp_path / "pts.pa"
+        lf.write_text("labels\n5 6\nx\n\n 9\t\n4\n")
+        assert np.array_equal(load_benchmark_text(f, label_path=lf).labels, [0, 1])
+
     def test_reload_identical(self, tmp_path):
         f = tmp_path / "pts.txt"
         f.write_text("1.5 -2\n0 4\n")

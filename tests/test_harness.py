@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkmeans import harness
-from tkmeans.baselines import BaselineConfig
-from tkmeans.core import FitConfig
+from tkmeans.baselines import BaselineConfig, kmeans_fit, kmedians_fit, kmedoids_fit
+from tkmeans.core import FitConfig, TkModel, fit, fit_fast, log_t_density
 from tkmeans.datasets import ContaminationSpec, Dataset, generate_gaussian_blobs
 from tkmeans.errors import DegenerateMetricError, DomainError, NumericalError, TkmeansError, UsageError
 from tkmeans.harness import (
@@ -32,7 +32,9 @@ TWO_BLOBS = "blobs:k=2,n=30,p=2,std=0.3,box=15,seed=5"
 
 class TestRunSpec:
     def test_nine_algorithms(self):
-        assert len(ALGORITHMS) == 9
+        # the report order
+        assert ALGORITHMS == ("kmeans", "kmeans++", "kmedoids", "kmedians", "gmm", "tmm", "tkmeans", "fast-tkmeans",
+                              "fast-tkmeans++")
 
     def test_unknown_algorithm_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -55,6 +57,60 @@ class TestGeneratorSpec:
     def test_bad_kind(self):
         with pytest.raises(UsageError):
             parse_generator_spec("rings:k=2")
+
+
+def _reference_dispatch(spec, data, seed):
+    """Each algorithm's fit and config, written out one branch per algorithm as the harness once did."""
+    a, k = spec.algorithm, spec.k
+    base = (spec.max_iter, spec.tol, seed)
+    if a in ("kmeans", "kmeans++", "kmedoids", "kmedians"):
+        cfg = BaselineConfig(*base, spec.init or ("kmeanspp" if a == "kmeans++" else "random"))
+        fn = {"kmeans": kmeans_fit, "kmeans++": kmeans_fit, "kmedoids": kmedoids_fit, "kmedians": kmedians_fit}[a]
+        return fn(data, k, cfg)
+    if a == "gmm":
+        return gmm_fit(data, k, BaselineConfig(*base, spec.init or "kmeanspp"), ridge=spec.ridge)[0]
+    if a == "tmm":
+        return tmm_fit(data, k, BaselineConfig(*base, spec.init or "kmeanspp"), ridge=spec.ridge, fixed_nu=spec.nu)[0]
+    if a == "tkmeans":
+        return fit(data, k, FitConfig(*base, spec.init or "random", fixed_nu=spec.nu))
+    init = spec.init or ("kmeanspp" if a == "fast-tkmeans++" else "random")
+    return fit_fast(data, k, FitConfig(*base, init, fixed_nu=spec.nu, fast_alpha=spec.fast_alpha))
+
+
+# the RunSpec fields each algorithm reads besides max_iter, tol and init
+READS = {"kmeans": (), "kmeans++": (), "kmedoids": (), "kmedians": (), "gmm": ("ridge",), "tmm": ("ridge", "nu"),
+         "tkmeans": ("nu",), "fast-tkmeans": ("nu", "fast_alpha"), "fast-tkmeans++": ("nu", "fast_alpha")}
+THREE_BLOBS = "blobs:k=3,n=20,p=2,std=1.5,box=5,seed=3"
+
+
+def _same_fit(a, b):
+    return (a.labels.tobytes(), a.centers.tobytes(), a.loss_trace.tobytes(), a.iterations) == \
+        (b.labels.tobytes(), b.centers.tobytes(), b.loss_trace.tobytes(), b.iterations)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"init": "random"}, {"init": "kmeanspp"}, {"nu": 5.0}, {"ridge": 1e-3}, {"fast_alpha": 1e-3},
+         {"init": "kmeanspp", "nu": 2.0, "ridge": 1e-2, "fast_alpha": 0.5}],
+        ids=["defaults", "random", "kmeanspp", "nu", "ridge", "fast_alpha", "all"],
+    )
+    def test_each_algorithm_gets_its_fit_and_config(self, algorithm, overrides):
+        data = parse_generator_spec(THREE_BLOBS)
+        spec = RunSpec(algorithm, data, 3, max_iter=40, **overrides)
+        assert _same_fit(harness._dispatch(spec, data, 11), _reference_dispatch(spec, data, 11))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_field_the_algorithm_does_not_read_stays_unvalidated(self, algorithm):
+        data = parse_generator_spec(THREE_BLOBS)
+        bad = {"nu": -1.0, "ridge": -1.0, "fast_alpha": math.nan}
+        unread = {name: value for name, value in bad.items() if name not in READS[algorithm]}
+        result = harness._dispatch(RunSpec(algorithm, data, 3, max_iter=40, **unread), data, 11)
+        assert _same_fit(result, harness._dispatch(RunSpec(algorithm, data, 3, max_iter=40), data, 11))
+        for name in READS[algorithm]:
+            with pytest.raises(DomainError, match=f"^{name}|^fixed_{name}"):
+                harness._dispatch(RunSpec(algorithm, data, 3, **{name: bad[name]}), data, 11)
 
 
 class TestRunOnce:
@@ -107,6 +163,28 @@ class TestRunOnce:
 )
 def test_non_finite_fit_settings_are_rejected_up_front(field, build, value):
     with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -1.0, "1"])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        pytest.param("tol", lambda v: BaselineConfig(tol=v), id="tol"),
+        pytest.param("fixed_nu", lambda v: FitConfig(fixed_nu=v), id="fixed_nu"),
+        pytest.param("fast_alpha", lambda v: FitConfig(fast_alpha=v), id="fast_alpha"),
+        pytest.param("alpha", lambda v: TkModel([[0.0]], v, 1.0), id="TkModel.alpha"),
+        pytest.param("nu", lambda v: TkModel([[0.0]], 1.0, v), id="TkModel.nu"),
+        pytest.param("alpha", lambda v: log_t_density([0.0], [1.0], v, 1.0), id="log_t_density.alpha"),
+        pytest.param("nu", lambda v: log_t_density([0.0], [1.0], 1.0, v), id="log_t_density.nu"),
+        pytest.param("cluster_std", lambda v: generate_gaussian_blobs(2, 3, cluster_std=v), id="cluster_std"),
+        pytest.param("constrained_alpha", lambda v: gmm_fit(parse_generator_spec(TWO_BLOBS), 2, constrained_alpha=v),
+                     id="constrained_alpha"),
+        pytest.param("nu", lambda v: tmm_fit(parse_generator_spec(TWO_BLOBS), 2, fixed_nu=v), id="nu"),
+    ],
+)
+def test_a_knob_that_is_not_a_finite_number_above_0_is_a_domain_error(field, build, value):
+    with pytest.raises(DomainError, match=f"^{field} must be finite and > 0, got {value!r}$"):
         build(value)
 
 def _points(distinct, duplicates, p, offset, log_scale, seed):

@@ -20,7 +20,9 @@ and the cell of the ``em-p16`` workload, ``tkmeans`` alone over the same
 seeds: ``generate_gaussian_blobs(15, 200, 16, seed=0)``, K=15, ``tol=1e-12``
 and ``max_iter=30``.
 
-Each tree's fits run in their own subprocess, with ``PYTHONPATH=DIR/src``,
+Each tree's fits run in their own subprocess, with ``PYTHONPATH=DIR/src``
+and BLAS on one thread (``BLAS_ENV``, as ``perfbench/run.py`` sets it, since
+some fits differ in the last bits between thread counts),
 through ``harness.run_once``, which also records the largest |coordinate|
 of each fit's data as its ``scale`` and the ``tracemalloc`` peak of the
 ``run_once`` call (the fit and its metrics) as its ``peak_mb``.  Each fit pair is classified, in this
@@ -64,6 +66,7 @@ ROBUST_DATA = "blobs:k=4,n=75,p=2,std=0.5,box=8,seed=11"
 FRACTIONS = (0.0, 0.05, 0.1)
 CLOSE = 1e-10  # times the largest |coordinate| of the fit's data
 COINCIDENT = 1e-7  # as CLOSE: parent centers this close form one group of coincident components
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CLASSES = ("bit-identical", "centers within 1e-10", "coincident components", "labels differ", "iterations differ",
            "other")
 
@@ -208,8 +211,8 @@ def source_tree(name: str, scratch: Path) -> Path:
 
 
 def run_tree(tree: Path, seeds: str) -> list[dict]:
-    """Refit in a subprocess that imports ``tkmeans`` from ``tree/src``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    """Refit in a subprocess that imports ``tkmeans`` from ``tree/src``, with BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_ENV)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--seeds", seeds]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
