@@ -9,7 +9,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .specialfn import digamma, log_gamma
+from .specialfn import check_positive, digamma, log_gamma  # noqa: F401 - the other modules' check_positive
 
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 
@@ -28,16 +28,6 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def check_positive(name: str, value) -> float:
-    """``value`` as a float if it is a number, finite and > 0; anything else raises ``DomainError``."""
-    try:
-        if 0 < value < math.inf:
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def finite(what: str, compute) -> np.ndarray:
@@ -60,7 +50,8 @@ def check_k(k: int, n: int) -> int:
 
 # Points per block of a pass over the data: the EM passes of ``core`` and ``mixtures`` and the
 # hard-assignment sweeps.  A (K, B) buffer of a pass holds B*K floats, 512 KB at K=16, and every
-# block reuses it; data of up to BLOCK points run as one block.
+# block reuses it; data of up to BLOCK points run as one block.  A t E-step holds two such buffers,
+# the Gaussian mixture's one, a sweep one (two for L1).
 BLOCK = 4096
 
 
@@ -204,10 +195,23 @@ def log_t_const(p: int, alpha: float, nu: float) -> float:
     return _log_t_nu_part(p, nu) - 0.5 * p * math.log(alpha)
 
 
-def log_u_offset(nu: float, p: int) -> float:
-    """``E ln u + log1p(maha / nu)``: ln((nu+p)/nu) + digamma((nu+p)/2) - ln((nu+p)/2)."""
+@functools.lru_cache(maxsize=4)  # a block reads both, and a fixed-nu stage repeats them; a free nu moves every pass
+def log_u_consts(nu: float, p: int) -> tuple[float, float]:
+    """``E ln u + log1p(maha / nu)`` and ``kappa`` of one (nu, p).
+
+    The first is ln((nu+p)/nu) + digamma((nu+p)/2) - ln((nu+p)/2) and
+    ``kappa`` is digamma((nu+p)/2) - ln((nu+p)/2), so ``exp(E ln u -
+    kappa)`` is the precision weight ``u = ((nu+p)/nu) / (1 + maha/nu)``.
+    """
     half = (nu + p) / 2.0
-    return math.log((nu + p) / nu) + digamma(half) - math.log(half)
+    psi, log_half = digamma(half), math.log(half)
+    return math.log((nu + p) / nu) + psi - log_half, psi - log_half
+
+
+def precision_weights(log_u: np.ndarray, nu: float, p: int, out=None) -> np.ndarray:
+    """The precision weights ``u = exp(E ln u - kappa)`` of ``log_u`` (``E ln u``), into ``out`` when given."""
+    u = np.subtract(log_u, log_u_consts(nu, p)[1], out=out)
+    return np.exp(u, out=u)
 
 
 def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, healthy: np.ndarray | None = None) -> float:

@@ -9,7 +9,9 @@ update.  The M-step moves every center to its tau*u-weighted mean over
 *all* samples, re-estimates ``alpha`` against the new centers, and updates
 ``nu`` through a closed-form approximation.
 
-``fit`` runs one blocked pass over the data per EM iteration (``_pass``).
+``fit`` runs one blocked pass over the data per EM iteration (``_pass``),
+which keeps the three in two (K, B) buffers: ``u`` is ``exp(E ln u -
+kappa)``, formed from ``E ln u`` in place.
 The public ``e_step``, ``m_step``, ``log_l2_loss`` and
 ``negative_log_likelihood`` run the same block functions with the whole
 data as one block.
@@ -133,59 +135,58 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
     return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
 
 
-def _log_t_block(points, rows, mean, model: TkModel, d2, lp, logt):
-    """``1 + s`` with ``s = d2/(nu*alpha)``, its log and ln t for one block of points, each (K, B).
+def _log_t_block(points, rows, mean, model: TkModel, lp, logt):
+    """``ln(1 + s)`` with ``s = d2/(nu*alpha)`` and ln t for one block of points, each (K, B).
 
     ``rows`` are the block's columns of the data's ``_util.distance_block``,
-    centered at ``mean``.  ``d2`` receives the squared distances and then,
-    in place, ``1 + s``, with ``s`` the product of ``d2`` and ``1/(nu*alpha)``;
-    ``lp`` receives ``ln(1 + s)`` and ``logt`` ln t less its distance-free
-    part, ``_util.log_t_const``, which ``_nll`` adds to the row
-    log-sum-exps instead (it cancels in ``tau``).  Raises
+    centered at ``mean``.  ``lp`` receives the squared distances ``d2``,
+    then in place ``s``, the product of ``d2`` and ``1/(nu*alpha)``, then
+    ``log1p(s)``, which keeps a small ``s`` where ``1 + s`` would round to
+    1 (a large ``nu``); ``1 + s`` is never formed.  ``logt`` receives ln t
+    less its distance-free part, ``_util.log_t_const``, which ``_nll`` adds
+    to the row log-sum-exps instead (it cancels in ``tau``).  Raises
     ``NumericalError`` when a distance or ``s`` overflows.
     """
-    d2 = _util.pairwise_sq_dists(model.centers, points, block=(rows, mean), out=d2)
+    lp = _util.pairwise_sq_dists(model.centers, points, block=(rows, mean), out=lp)
     try:
         with np.errstate(over="raise", divide="raise"):
-            np.multiply(d2, np.float64(1.0) / (np.float64(model.nu) * model.alpha), out=d2)
+            np.multiply(lp, np.float64(1.0) / (np.float64(model.nu) * model.alpha), out=lp)
     except FloatingPointError:
         raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
-    one_s = np.add(d2, 1.0, out=d2)
-    lp = np.log(one_s, out=lp)
-    return one_s, lp, np.multiply(lp, -0.5 * (model.nu + model.p), out=logt)
+    np.log1p(lp, out=lp)
+    return lp, np.multiply(lp, -0.5 * (model.nu + model.p), out=logt)
 
 
-def _e_block(points, rows, mean, model: TkModel, d2, lp, logt, total=None):
-    """E-step of one block; returns its row log-sum-exps, ``tau`` (B, K), ``u`` and ``ln(1 + s)`` (K, B).
+def _e_block(points, rows, mean, model: TkModel, lp, logt, total=None):
+    """E-step of one block in two (K, B) matrices; returns its row log-sum-exps, ``tau`` (B, K) and ``E ln u`` (K, B).
 
     One ``exp`` pass gives both the row log-sum-exps and ``tau``,
-    normalized in place in ``logt``.  ``u = ((nu+p)/nu) / (1 + s)``
-    overwrites ``1 + s`` in ``d2``, and ``E ln u = log_u_offset - ln(1 +
-    s)`` reuses the log of ln t.  ``total`` receives the rows' sums of
-    exponentials, whose reciprocals are the rows' largest ``tau``.
+    normalized in place in ``logt``.  ``E ln u = ln((nu+p)/nu) + kappa -
+    ln(1 + s)`` (``_util.log_u_consts``) then overwrites ``ln(1 + s)`` in
+    ``lp``; the precision weights ``u = exp(E ln u - kappa)`` follow from
+    it (``_util.precision_weights``).
+    ``total`` receives the rows' sums of exponentials, whose reciprocals
+    are the rows' largest ``tau``.
     """
-    one_s, lp, logt = _log_t_block(points, rows, mean, model, d2, lp, logt)
+    lp, logt = _log_t_block(points, rows, mean, model, lp, logt)
     lse, tau = _log_normalize(logt.T, out=logt.T, total=total)
-    u = np.divide((model.nu + model.p) / model.nu, one_s, out=one_s)
-    return lse, tau, u, lp
+    return lse, tau, np.subtract(_util.log_u_consts(model.nu, model.p)[0], lp, out=lp)
 
 
-def _add_sums(sums: np.ndarray, tau: np.ndarray, w: np.ndarray, rows: np.ndarray, log_u=None) -> None:
-    """Add one block's M-step sums to the (K, p+4) ``sums``.
+def _add_sums(sums: np.ndarray, tau: np.ndarray, w: np.ndarray, rows: np.ndarray) -> None:
+    """Add one block's M-step sums but ``sum tau E ln u`` to the (K, p+4) ``sums``.
 
-    ``tau``, the weights ``w = tau*u`` and ``log_u`` (``E ln u``, given
-    when ``nu`` is free) are (K, B).  Columns 0..p+1 gain ``w`` times the
-    transposed rows, one GEMM: ``sum w (x-m)``, ``sum w |x-m|^2`` and the
-    mass ``sum w``.  Column p+2 gains ``sum tau``, ``tau`` times the ones
-    row, and column p+3 ``sum tau E ln u``.  An overflow leaves a
-    non-finite sum for the M-step to report.
+    ``tau`` and the weights ``w = tau*u`` are (K, B).  Columns 0..p+1 gain
+    ``w`` times the transposed rows, one GEMM: ``sum w (x-m)``, ``sum w
+    |x-m|^2`` and the mass ``sum w``.  Column p+2 gains ``sum tau``,
+    ``tau`` times the ones row.  Column p+3, ``sum tau E ln u``, is the
+    caller's, as a pass takes it before ``w`` overwrites ``E ln u``.  An
+    overflow leaves a non-finite sum for the M-step to report.
     """
     p = rows.shape[0] - 2
     with np.errstate(over="ignore", invalid="ignore"):
         sums[:, : p + 2] += w @ rows.T
     sums[:, p + 2] += tau @ rows[p + 1]
-    if log_u is not None:
-        sums[:, p + 3] += np.einsum("kb,kb->k", tau, log_u)
 
 
 def _m_step_from_sums(sums: np.ndarray, mean, model: TkModel, cfg: FitConfig, points, max_tau) -> TkModel:
@@ -234,7 +235,7 @@ def _whole(data: Dataset, model: TkModel):
 
 
 def _matrices(model: TkModel, n: int):
-    return [np.empty((model.k, n)) for _ in range(3)]
+    return [np.empty((model.k, n)) for _ in range(2)]
 
 
 def e_step(data: Dataset, model: TkModel) -> EStepResult:
@@ -242,12 +243,12 @@ def e_step(data: Dataset, model: TkModel) -> EStepResult:
 
     tau is normalized in log space (the equal mixing weights cancel), so
     far points cannot underflow a whole row.  The (N, K) results are views
-    of C-ordered (K, N) memory: the whole data as one block of a pass.
+    of C-ordered (K, N) memory: the whole data as one block of a pass, with
+    ``u = exp(E ln u - kappa)`` formed from ``E ln u`` as the pass forms it.
     """
     x, rows, mean = _whole(data, model)
-    _, tau, u, lp = _e_block(x, rows, mean, model, *_matrices(model, data.n))
-    log_u_expect = np.subtract(_util.log_u_offset(model.nu, model.p), lp, out=lp)
-    return EStepResult(tau, u.T, log_u_expect.T)
+    _, tau, log_u = _e_block(x, rows, mean, model, *_matrices(model, data.n))
+    return EStepResult(tau, _util.precision_weights(log_u, model.nu, model.p).T, log_u.T)
 
 
 def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkModel:
@@ -267,7 +268,9 @@ def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkM
     x, rows, mean = _whole(data, model)
     tau = e.tau.T
     sums = np.zeros((k, p + 4))
-    _add_sums(sums, tau, np.multiply(tau, e.u.T), rows, e.log_u_expect.T if cfg.fixed_nu is None else None)
+    if cfg.fixed_nu is None:
+        sums[:, p + 3] += np.einsum("kb,kb->k", tau, e.log_u_expect.T)
+    _add_sums(sums, tau, np.multiply(tau, e.u.T), rows)
     return _m_step_from_sums(sums, mean, model, cfg, x, lambda: e.tau.max(axis=1))
 
 
@@ -284,7 +287,7 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     rows = tau.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6):
         raise DomainError("tau rows must sum to 1")
-    _, lp, _ = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
+    lp, _ = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
     return float((tau * lp.T).sum())
 
 
@@ -301,7 +304,7 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     raw weighted log-distance sum of :func:`log_l2_loss` is not once the
     shared scale is re-estimated each step.
     """
-    _, _, logt = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
+    _, logt = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
     return _nll(log_sum_exp(logt.T, axis=1), model)
 
 
@@ -326,22 +329,27 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
 def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False, labels=None) -> float:
     """Score ``model`` over the data block by block; returns its negative log likelihood.
 
-    Every block reuses the three flat ``bufs`` (at least K*B floats each)
-    as its (K, B) matrices, and ``totals`` (N,) receives the rows' sums of
-    exponentials.  With ``sums``, the E-step's M-step sums are added to
-    it, ``sum tau E ln u`` only when ``free_nu``; with ``labels``, the
-    argmax responsibilities are written into it.
+    Every block reuses the two flat ``bufs`` (at least K*B floats each) as
+    its (K, B) matrices: the first holds the distances, ``ln(1 + s)``, ``E
+    ln u``, ``u`` and then the weights ``w = tau*u``, each in place of the
+    last, the second ln t and then ``tau``.  ``totals`` (N,) receives the
+    rows' sums of exponentials.  With ``sums``, the E-step's M-step sums
+    are added to it, ``sum tau E ln u`` only when ``free_nu``, before
+    ``u`` overwrites ``E ln u``; with ``labels``, the argmax
+    responsibilities are written into it.
     """
-    k = model.k
+    k, p = model.k, model.p
     loss = 0.0
     for start, stop in _util.blocks(x.shape[0], _util.BLOCK):
         rows_b = rows[:, start:stop]
-        d2, lp, logt = (_util.block_view(buf, k, stop - start) for buf in bufs)
-        lse, tau, u, lp = _e_block(x[start:stop], rows_b, mean, model, d2, lp, logt, totals[start:stop, None])
+        views = (_util.block_view(buf, k, stop - start) for buf in bufs)
+        lse, tau, log_u = _e_block(x[start:stop], rows_b, mean, model, *views, totals[start:stop, None])
         loss += _nll(lse, model)
         if sums is not None:
-            log_u = np.subtract(_util.log_u_offset(model.nu, model.p), lp, out=lp) if free_nu else None
-            _add_sums(sums, tau.T, np.multiply(tau.T, u, out=u), rows_b, log_u)
+            if free_nu:
+                sums[:, p + 3] += np.einsum("kb,kb->k", tau.T, log_u)
+            u = _util.precision_weights(log_u, model.nu, p, out=log_u)
+            _add_sums(sums, tau.T, np.multiply(tau.T, u, out=u), rows_b)
         if labels is not None:
             _util.arg_extreme(tau.T, largest=True, index=labels[start:stop])
     return loss
@@ -389,7 +397,8 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     The trace carries the observed-data negative log likelihood of each
     iteration's model, which is non-increasing while ``nu`` is fixed.
     Hard labels are the argmax responsibilities under the final model:
-    from the last pass when one block covers the data, else from one more.
+    from the last pass's ``tau`` buffer when one block covers the data,
+    else from one more.  A pass holds two (K, B) buffers (``_pass``).
     Deterministic for a fixed seed.
     """
     cfg = cfg or FitConfig()
@@ -400,7 +409,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     nu0 = _util.NU_BOUNDS[1] if cfg.fixed_nu is None else cfg.fixed_nu
     trace: list[float] = []
     rows, mean = block = _util.distance_block(x)
-    bufs = [np.empty(k * min(n, _util.BLOCK)) for _ in range(3)]
+    bufs = [np.empty(k * min(n, _util.BLOCK)) for _ in range(2)]
     totals = np.empty(n)
     model = _initial_model(data, k, cfg, nu0, block, bufs[0])
     model = _run_em(x, rows, mean, model, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace, bufs, totals)
@@ -408,7 +417,7 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
         model = TkModel(model.centers, model.alpha, _util.NU_START)
         model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
     if n <= _util.BLOCK:
-        labels, _ = _util.arg_extreme(_util.block_view(bufs[2], k, n), largest=True)
+        labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)
         _pass(x, rows, mean, model, bufs, totals, labels=labels)

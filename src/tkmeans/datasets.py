@@ -92,10 +92,9 @@ class ContaminationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.outlier_fraction < 1.0:
+        if check_positive("outlier_fraction", self.outlier_fraction, floor=0.0) >= 1.0:
             raise DomainError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
-        if not 1.0 <= self.box_expansion < math.inf:
-            raise DomainError(f"box_expansion must be finite and >= 1, got {self.box_expansion}")
+        check_positive("box_expansion", self.box_expansion, floor=1.0)
         check_seed(self.seed)
 
 

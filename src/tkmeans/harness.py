@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import numbers
 from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -98,8 +99,8 @@ class RunSpec:
             raise UsageError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
             )
-        if self.repeats < 1:
-            raise UsageError(f"repeats must be >= 1, got {self.repeats}")
+        if not (isinstance(self.repeats, numbers.Integral) and self.repeats >= 1):
+            raise UsageError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
 
 def parse_generator_spec(text: str) -> Dataset:

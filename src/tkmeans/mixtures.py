@@ -45,9 +45,7 @@ class MixtureModel:
 
 def _default_ridge(x: np.ndarray, ridge: float | None) -> float:
     if ridge is not None:
-        if not 0 <= ridge < math.inf:
-            raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
-        return float(ridge)
+        return _util.check_positive("ridge", ridge, floor=0.0)
     value = 1e-6 * float(_util.finite("the feature variance", lambda: x.var(axis=0, ddof=1).mean()))
     # data that are not constant need a positive ridge; at tiny scales the variance or 1e-6 of it rounds to 0
     if value == 0.0 and np.ptp(x, axis=0).any():
@@ -205,8 +203,8 @@ def _sum_slabs(y: np.ndarray, p: int, out: np.ndarray) -> None:
         out += y[a * k : (a + 1) * k]
 
 
-def _e_block(cols: np.ndarray, e, bufs):
-    """E-step of one block; returns its row log-likelihoods, ``r``, the weights ``w`` and ``log1p(maha/nu)``.
+def _e_block(cols: np.ndarray, e, bufs, log_u_sums=None):
+    """E-step of one block; returns its row log-likelihoods, ``r`` and the weights ``w``, each (K, B).
 
     ``cols`` are the block's columns of the moment block and ``e`` is
     ``_e_step``'s tuple.  The (K, B) squared Mahalanobis distances go
@@ -218,10 +216,12 @@ def _e_block(cols: np.ndarray, e, bufs):
     formed and normalized in place in ``bufs[1]`` (one ``exp`` pass, on
     its transposed view), so ``r`` is (K, B).  The Gaussian fit first sets
     to -inf each ``log r`` more than -ln(tiny) below its point's largest,
-    and weights by ``r``.  The t fit overwrites its distances with ``u =
-    (nu+p)/(nu+maha)`` and then ``w = r * u``, and keeps
-    ``log1p(maha/nu)`` in ``bufs[3]``; it returns None there for the
-    Gaussian fit.
+    and weights by ``r``.  The t fit holds two (K, B) matrices: its
+    distances become ``log1p(maha/nu)`` in place, from which ``log r`` is
+    formed, then ``E ln u = ln((nu+p)/nu) + kappa - log1p(maha/nu)``
+    (``_util.log_u_consts``), whose ``r``-weighted sum is added to the K
+    entries of ``log_u_sums`` when given, then ``u = exp(E ln u - kappa) =
+    (nu+p)/(nu+maha)`` and ``w = r * u``.
     """
     op, scale, bias, nu, p = e
     k, b = bias.shape[0], cols.shape[1]
@@ -243,22 +243,23 @@ def _e_block(cols: np.ndarray, e, bufs):
         floor += _LOG_TINY
         np.copyto(log_r, -np.inf, where=log_r < floor)
         row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
-        return row_ll, log_r, log_r, None
-    lp = _util.block_view(bufs[3], k, b)
-    np.log1p(np.divide(maha, nu, out=lp), out=lp)
+        return row_ll, log_r, log_r
+    lp = np.log1p(np.divide(maha, nu, out=maha), out=maha)
     np.multiply(lp, scale, out=log_r)
     log_r += bias
     row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
-    maha += nu
-    u = np.divide(nu + p, maha, out=maha)
-    return row_ll, log_r, np.multiply(log_r, u, out=u), lp
+    log_u = np.subtract(_util.log_u_consts(nu, p)[0], lp, out=lp)
+    if log_u_sums is not None:
+        log_u_sums += np.einsum("kb,kb->k", log_r, log_u)
+    u = _util.precision_weights(log_u, nu, p, out=log_u)
+    return row_ll, log_r, np.multiply(log_r, u, out=u)
 
 
-def _e_blocks(mom: _Moments, e, bufs):
+def _e_blocks(mom: _Moments, e, bufs, log_u_sums=None):
     """Run the E-step ``e`` block by block; yields ``(start, stop, cols)`` and ``_e_block``'s results."""
     for start, stop in _util.blocks(mom.cols.shape[1], _util.BLOCK):
         cols = mom.cols[:, start:stop]
-        yield (start, stop, cols, *_e_block(cols, e, bufs))
+        yield (start, stop, cols, *_e_block(cols, e, bufs, log_u_sums))
 
 
 def _pass(mom: _Moments, e, bufs, sums: np.ndarray, outer=None, free_nu: bool = False) -> float:
@@ -266,8 +267,8 @@ def _pass(mom: _Moments, e, bufs, sums: np.ndarray, outer=None, free_nu: bool = 
 
     ``sums`` (K, p+3+q) receives ``_add_moments``'s sums of the weights in
     its first p+1+q columns and, for the t fit, ``sum r`` and (when
-    ``free_nu``) ``sum r E ln u`` in the last two, with ``E ln u =
-    log_u_offset - log1p(maha/nu)``; ``outer`` is zeroed and refilled.
+    ``free_nu``) ``sum r E ln u`` in the last two, the latter taken in
+    ``_e_block``; ``outer`` is zeroed and refilled.
     """
     nu = e[3]
     p, rows = mom.c.shape[0], mom.cols.shape[0]
@@ -275,14 +276,11 @@ def _pass(mom: _Moments, e, bufs, sums: np.ndarray, outer=None, free_nu: bool = 
     if outer is not None:
         outer.fill(0.0)
     ll = 0.0
-    offset = _util.log_u_offset(nu, p) if free_nu else None
-    for _, _, cols, row_ll, r, w, lp in _e_blocks(mom, e, bufs):
+    for _, _, cols, row_ll, r, w in _e_blocks(mom, e, bufs, sums[:, rows + 1] if free_nu else None):
         ll += float(row_ll.sum())
         _add_moments(sums, outer, w, cols, bufs[0])
         if nu is not None:
             sums[:, rows] += r @ cols[p]
-            if free_nu:
-                sums[:, rows + 1] += np.einsum("kb,kb->k", r, np.subtract(offset, lp, out=lp))
     return ll
 
 
@@ -358,7 +356,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
 
     mom = _row_moments(x, k)
     rows, b = mom.cols.shape[0], min(n, _util.BLOCK)
-    bufs = [None if mom.packed else np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 3)]
+    bufs = [None if mom.packed else np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 2)]
     sums = np.empty((k, rows + 2))
     outer = None if mom.packed or constrained_alpha is not None else np.empty((k * p, p))
     trace: list[float] = []
@@ -383,7 +381,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
                 raise NumericalError(f"component {int(np.argmin(nk))} collapsed (zero responsibility mass)")
             weights = nk / n
             means, covs = _scatter(mom, sums, outer, nk, ridge_v,
-                                   lambda: ((s, t, w) for s, t, _, _, _, w, _ in _e_blocks(mom, e, bufs)))
+                                   lambda: ((s, t, w) for s, t, _, _, _, w in _e_blocks(mom, e, bufs)))
             if free_nu:
                 nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk)
         e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
@@ -392,7 +390,7 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
         labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
         labels = np.empty(n, dtype=np.intp)
-        for s, t, _, _, r, _, _ in _e_blocks(mom, e, bufs):
+        for s, t, _, _, r, _ in _e_blocks(mom, e, bufs):
             _util.arg_extreme(r, largest=True, index=labels[s:t])
     wall = time.perf_counter() - start
     model = MixtureModel(weights.copy(), means.copy(), covs.copy(), nu=nu)

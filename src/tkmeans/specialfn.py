@@ -49,14 +49,15 @@ _DIGAMMA_TAIL = (
 _DIGAMMA_LIFT = 6.0
 
 
-def _positive_scalar(x, name: str) -> float:
+def check_positive(name: str, value, floor: float | None = None) -> float:
+    """``value`` as a float if it is a number, finite and > 0 (``floor``: >= floor); anything else raises ``DomainError``."""
     try:
-        v = float(x)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real scalar, got {x!r}") from exc
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be finite and > 0, got {v!r}")
-    return v
+        if (0 < value if floor is None else floor <= value) and value < math.inf:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    bound = "> 0" if floor is None else f">= {floor:g}"
+    raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def log_gamma(x) -> float:
@@ -65,7 +66,7 @@ def log_gamma(x) -> float:
     Uses the Lanczos approximation, with the reflection formula below 0.5.
     Accuracy is ~1e-13 relative to the magnitude of the result.
     """
-    v = _positive_scalar(x, "x")
+    v = check_positive("x", x)
     if v < 0.5:
         # ln Gamma(v) = ln pi - ln sin(pi v) - ln Gamma(1 - v), valid for 0 < v < 1
         return math.log(math.pi) - math.log(math.sin(math.pi * v)) - log_gamma(1.0 - v)
@@ -84,7 +85,7 @@ def digamma(x) -> float:
     digamma(x) = digamma(x + 1) - 1/x, then the asymptotic series is
     evaluated.  Absolute error stays below 1e-10 over [1e-3, 1e6].
     """
-    v = _positive_scalar(x, "x")
+    v = check_positive("x", x)
     acc = 0.0
     while v < _DIGAMMA_LIFT:
         acc -= 1.0 / v

@@ -25,6 +25,7 @@ from tkmeans.core import (
 )
 from tkmeans.datasets import Dataset, generate_gaussian_blobs
 from tkmeans.errors import DomainError
+from tkmeans.harness import parse_generator_spec
 from tkmeans.metrics import adjusted_rand_index
 
 
@@ -128,16 +129,16 @@ class TestEStep:
         inner = core._e_block
 
         def recording(*args, **kwargs):
-            lse, tau, u, lp = inner(*args, **kwargs)
-            seen.append((tau, u, lp))
-            return lse, tau, u, lp
+            lse, tau, log_u = inner(*args, **kwargs)
+            seen.append((tau, log_u))
+            return lse, tau, log_u
 
         monkeypatch.setattr(core, "_e_block", recording)
         d = generate_gaussian_blobs(4, 50, 3, seed=2)
         fit(d, 4, FitConfig(seed=0, max_iter=6))
         assert len(seen) > 2
-        for tau, u, lp in seen:
-            for m in (tau.T, u, lp):
+        for tau, log_u in seen:
+            for m in (tau.T, log_u):
                 assert m.shape == (4, d.n) and m.flags.c_contiguous
         e = e_step(d, TkModel(d.samples[:4], 1.0, 3.0))
         for m in (e.tau, e.u, e.log_u_expect):
@@ -356,6 +357,15 @@ class TestFit:
                 fit_fast(d, k)
         assert fit(d, np.int64(2), FitConfig(seed=0, max_iter=2)).centers.shape == (2, 2)
 
+    @pytest.mark.parametrize("nu", [1e16, 1e20, 1e100])
+    def test_a_huge_fixed_nu_keeps_the_distances(self, nu):
+        # s = d2/(nu*alpha) is far below eps here: ln of the rounded 1 + s was 0 for every pair, which
+        # stopped the nu=1e20 fit after 2 iterations with one distinct center and ARI 0
+        d = parse_generator_spec("blobs:k=4,n=75,p=2,std=0.5,box=8,seed=11")
+        r = fit(d, 4, FitConfig(seed=3, fixed_nu=nu))
+        assert adjusted_rand_index(d.labels, r.labels) == 1.0
+        assert len({tuple(c) for c in r.centers.tolist()}) == 4
+
     def test_nll_monitor_matches_model(self):
         d = generate_gaussian_blobs(2, 25, 2, seed=3)
         r = fit(d, 2, FitConfig(seed=3, fixed_nu=2.0))
@@ -449,7 +459,7 @@ class TestFit:
     def test_peak_memory_of_a_fit_at_em_shape(self):
         # 3000 x 16, K=15, one block.  Allocating each (N, K) matrix and the shifted data anew in every
         # iteration peaked at 3.01-3.05 MB here, five (N, K) matrices held per fit at 2.62-2.66 MB,
-        # and the pass's three (K, B) buffers peak at 1.93 MB.
+        # the pass's three (K, B) buffers at 1.65 MB and its two at 1.29 MB.
         d = generate_gaussian_blobs(15, 200, 16, seed=0)
         tracemalloc.start()
         try:
@@ -457,7 +467,33 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.0e6
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("fixed_nu", [None, 3.0])
+    def test_a_pass_holds_two_k_by_b_buffers_and_allocates_no_third(self, monkeypatch, fixed_nu):
+        # the distances, ln(1 + s), E ln u, u and w share one buffer, ln t and tau the other
+        from tkmeans import core
+
+        k, n = 40, 4000  # one block; a few B-vectors of the pass stay far below half a (K, B) matrix
+        seen = []
+        inner = core._pass
+
+        def recording(x, rows, mean, model, bufs, totals, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                loss = inner(x, rows, mean, model, bufs, totals, *args, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            seen.append(([buf.size for buf in bufs], peak))
+            return loss
+
+        monkeypatch.setattr(core, "_pass", recording)
+        fit(generate_gaussian_blobs(k, n // k, 2, seed=0), k, FitConfig(seed=0, max_iter=3, fixed_nu=fixed_nu))
+        assert seen
+        for sizes, peak in seen:
+            assert sizes == [k * n, k * n]
+            assert peak < k * n * 8 / 2  # one more (K, B) matrix would take K*B*8 bytes
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
         # one for the initial alpha, one for each stage's first pass and one per iteration, all into one buffer
@@ -533,7 +569,7 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 7e6  # 7.7 MB with three (K, B) buffers per pass, 6.1 MB with two
 
     def test_alpha_of_tight_clusters_far_from_the_mean(self):
         # S2 - |S1|^2/mass cancels here; its error stays within the distance kernel's eps * (|x-m|^2 + |c-m|^2)

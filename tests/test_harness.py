@@ -187,6 +187,35 @@ def test_a_knob_that_is_not_a_finite_number_above_0_is_a_domain_error(field, bui
     with pytest.raises(DomainError, match=f"^{field} must be finite and > 0, got {value!r}$"):
         build(value)
 
+
+@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize(
+    "field, build, error",
+    [
+        pytest.param("outlier_fraction", lambda v: ContaminationSpec(v), DomainError, id="outlier_fraction"),
+        pytest.param("box_expansion", lambda v: ContaminationSpec(0.1, v), DomainError, id="box_expansion"),
+        pytest.param("repeats", lambda v: RunSpec("kmeans", TWO_BLOBS, 2, repeats=v), UsageError, id="repeats"),
+    ],
+)
+def test_a_knob_that_is_not_a_number_is_a_typed_error(field, build, error, value):
+    with pytest.raises(error, match=f"^{field} must be .*, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
+def test_a_ridge_that_is_not_a_number_is_a_domain_error(fit):
+    data = parse_generator_spec(TWO_BLOBS)
+    with pytest.raises(DomainError, match="^ridge must be finite and >= 0, got '1'$"):
+        fit(data, 2, ridge="1")
+    # None is not a bad ridge but the default one
+    assert np.array_equal(fit(data, 2, ridge=None)[0].centers, fit(data, 2)[0].centers)
+
+
+def test_repeats_may_be_a_numpy_integer():
+    assert RunSpec("kmeans", TWO_BLOBS, 2, repeats=np.int64(2)).repeats == 2
+    with pytest.raises(UsageError, match="^repeats must be an integer >= 1, got 2.0$"):
+        RunSpec("kmeans", TWO_BLOBS, 2, repeats=2.0)
+
 def _points(distinct, duplicates, p, offset, log_scale, seed):
     rng = np.random.default_rng(seed)
     points = offset + 10.0**log_scale * rng.standard_normal((distinct, p))

@@ -343,7 +343,7 @@ class TestBlockedPass:
         mom = _row_moments(x, 2)
         e = mixtures._e_step(np.full(2, 0.5), means, covs, None, mom.c)
         bufs = [np.empty(2 * 80), np.empty(2 * 80)]
-        row_ll, r, w, _ = mixtures._e_block(mom.cols, e, bufs)
+        row_ll, r, w = mixtures._e_block(mom.cols, e, bufs)
         log_r = _per_component_log_resp(x, MixtureModel(np.full(2, 0.5), means, covs)).T
         z = log_r - log_r.max(axis=0)
         band = (z < math.log(np.finfo(float).tiny)) & (np.exp(z) > 0.0)
@@ -362,19 +362,21 @@ class TestBlockedPass:
         model = MixtureModel(np.array([0.2, 0.3, 0.5]), means, covs, nu)
         mom = _row_moments(x, k)
         e = mixtures._e_step(model.weights, means, covs, nu, mom.c, mom.quad)
-        bufs = [None] + [np.empty(k * x.shape[0]) for _ in range(1 if nu is None else 3)]
-        row_ll, r, w, lp = mixtures._e_block(mom.cols, e, bufs)
+        bufs = [None] + [np.empty(k * x.shape[0]) for _ in range(1 if nu is None else 2)]
+        row_ll, r, w = mixtures._e_block(mom.cols, e, bufs)
         log_r = _per_component_log_resp(x, model)
         ref_ll = log_sum_exp(log_r, axis=1)
         # log r moves by at most (nu+p)/(2 nu) per unit of distance (1/2 for the Gaussian)
         tol = 1e-12 * _whitened_norms(x, means, covs, mom.c).max(axis=1) * (1.0 if nu is None else (nu + p) / nu)
         assert (np.abs(row_ll - ref_ll) <= tol).all()
         assert (np.abs(r - np.exp(log_r - ref_ll[:, None]).T) <= 2.0 * tol).all()
-        assert (w is r) == (nu is None) and (lp is None) == (nu is None)
+        assert (w is r) == (nu is None)
         if nu is not None:
-            assert (lp >= 0.0).all()  # the distances are clamped at 0
+            # the distances are clamped at 0, so no u = (nu+p)/(nu+maha) exceeds (nu+p)/nu beyond its rounding
+            assert (w <= r * ((nu + p) / nu) * (1.0 + 8.0 * np.finfo(float).eps)).all()
 
-    @pytest.mark.parametrize("fit, bound", [(gmm_fit, 7e6), (tmm_fit, 10.5e6)], ids=["gmm", "tmm"])
+    # 4.9 and 6.5 MB; the t fit peaked at 8.1 MB with three (K, B) buffers per pass
+    @pytest.mark.parametrize("fit, bound", [(gmm_fit, 7e6), (tmm_fit, 7.5e6)], ids=["gmm", "tmm"])
     def test_a_packed_fit_holds_no_whitening_buffer(self, fit, bound):
         # 50,000 x 2, K=50 is packed (p < 2K); the (p*K, B) whitening buffer alone is 3.3 MB
         d = generate_gaussian_blobs(50, 1000, 2, seed=0)
@@ -385,6 +387,31 @@ class TestBlockedPass:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("fit, kwargs, count", [(gmm_fit, {}, 1), (tmm_fit, {}, 2), (tmm_fit, {"fixed_nu": 3.0}, 2)],
+                             ids=["gmm", "tmm", "tmm-fixed-nu"])
+    def test_a_pass_holds_its_k_by_b_buffers_and_allocates_no_more(self, monkeypatch, fit, kwargs, count):
+        # the t fit's distances, log1p(maha/nu), E ln u, u and w share one buffer, log r and r the other
+        k, n = 40, 4000  # one block, packed (p < 2K): no whitening buffer
+        seen = []
+        inner = mixtures._pass
+
+        def recording(mom, e, bufs, *args, **kw):
+            tracemalloc.start()
+            try:
+                ll = inner(mom, e, bufs, *args, **kw)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            seen.append((bufs[0], [buf.size for buf in bufs[1:]], peak))
+            return ll
+
+        monkeypatch.setattr(mixtures, "_pass", recording)
+        fit(generate_gaussian_blobs(k, n // k, 2, seed=0), k, BaselineConfig(seed=0, max_iter=3), **kwargs)
+        assert seen
+        for whitening, sizes, peak in seen:
+            assert whitening is None and sizes == [k * n] * count
+            assert peak < k * n * 8 / 2  # one more (K, B) matrix would take K*B*8 bytes
 
     @pytest.mark.parametrize("fit", [gmm_fit, tmm_fit])
     def test_peak_memory_holds_no_n_by_k_matrix(self, fit):

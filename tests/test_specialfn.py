@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestDigamma:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             digamma(bad)
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma])
+def test_only_numbers_are_arguments(fn):
+    # float() would turn "3" into 3.0; the shared "finite and > 0" check takes numbers only
+    for bad in ("3", None, "x"):
+        with pytest.raises(DomainError, match=f"^x must be finite and > 0, got {re.escape(repr(bad))}$"):
+            fn(bad)
+    assert fn(3) == fn(np.float64(3.0)) == fn(np.float32(3.0)) == fn(3.0)
 
 
 class TestLogSumExp:
