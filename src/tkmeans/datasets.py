@@ -246,7 +246,7 @@ def generate_gaussian_blobs(
     if min(n_clusters, per_cluster, n_features) < 1:
         raise DomainError("n_clusters, per_cluster and n_features must all be >= 1")
     check_positive("cluster_std", cluster_std)
-    if not 0.0 <= 2.0 * center_box < math.inf:
+    if 2.0 * check_positive("center_box", center_box, floor=0.0) == math.inf:
         raise DomainError(f"center_box must be finite and >= 0, and 2 * center_box finite, got {center_box}")
     rng = np.random.default_rng(check_seed(seed))
     centers = rng.uniform(-center_box, center_box, size=(n_clusters, n_features))

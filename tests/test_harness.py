@@ -195,6 +195,7 @@ def test_a_knob_that_is_not_a_finite_number_above_0_is_a_domain_error(field, bui
         pytest.param("outlier_fraction", lambda v: ContaminationSpec(v), DomainError, id="outlier_fraction"),
         pytest.param("box_expansion", lambda v: ContaminationSpec(0.1, v), DomainError, id="box_expansion"),
         pytest.param("repeats", lambda v: RunSpec("kmeans", TWO_BLOBS, 2, repeats=v), UsageError, id="repeats"),
+        pytest.param("center_box", lambda v: generate_gaussian_blobs(2, 3, center_box=v), DomainError, id="center_box"),
     ],
 )
 def test_a_knob_that_is_not_a_number_is_a_typed_error(field, build, error, value):
