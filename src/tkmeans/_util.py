@@ -175,9 +175,19 @@ def nearest(dists, centers: np.ndarray, n: int):
     return assign, dist
 
 
-def converged(loss: float, prev: float | None, tol: float) -> bool:
-    """The EM stop test: ``loss`` moved from ``prev`` by less than ``tol`` relative to ``prev``."""
-    return prev is not None and abs(loss - prev) < tol * max(abs(prev), 1e-12)
+def em_steps(trace: list[float], budget: int, tol: float, prev: float | None = None):
+    """The EM loop of ``core.fit`` and the mixture fits: yields once per step, at most ``budget`` times.
+
+    A step runs the caller's M-step and pass and appends the new loss to
+    ``trace``; the loop stops once that moved from the loss before it
+    (``prev`` before the first step) by less than ``tol`` relative to it.
+    """
+    for _ in range(budget):
+        yield
+        loss = trace[-1]
+        if prev is not None and abs(loss - prev) < tol * max(abs(prev), 1e-12):
+            return
+        prev = loss
 
 
 NU_START = 3.0  # where a free-nu EM starts

@@ -157,7 +157,7 @@ def _log_t_block(points, rows, mean, model: TkModel, lp, logt):
     return lp, np.multiply(lp, -0.5 * (model.nu + model.p), out=logt)
 
 
-def _e_block(points, rows, mean, model: TkModel, lp, logt, total=None):
+def _e_block(points, rows, mean, model: TkModel, lp, logt):
     """E-step of one block in two (K, B) matrices; returns its row log-sum-exps, ``tau`` (B, K) and ``E ln u`` (K, B).
 
     One ``exp`` pass gives both the row log-sum-exps and ``tau``,
@@ -165,11 +165,9 @@ def _e_block(points, rows, mean, model: TkModel, lp, logt, total=None):
     ln(1 + s)`` (``_util.log_u_consts``) then overwrites ``ln(1 + s)`` in
     ``lp``; the precision weights ``u = exp(E ln u - kappa)`` follow from
     it (``_util.precision_weights``).
-    ``total`` receives the rows' sums of exponentials, whose reciprocals
-    are the rows' largest ``tau``.
     """
     lp, logt = _log_t_block(points, rows, mean, model, lp, logt)
-    lse, tau = _log_normalize(logt.T, out=logt.T, total=total)
+    lse, tau = _log_normalize(logt.T, out=logt.T)
     return lse, tau, np.subtract(_util.log_u_consts(model.nu, model.p)[0], lp, out=lp)
 
 
@@ -263,8 +261,8 @@ def m_step(data: Dataset, e: EStepResult, model: TkModel, cfg: FitConfig) -> TkM
     The sums are those of a pass with the whole data as one block.
     """
     k, p = model.k, model.p
-    if e.tau.shape != (data.n, k):
-        raise DomainError(f"E-step result shape {e.tau.shape} does not match (N, K)=({data.n}, {k})")
+    if any(np.shape(a) != (data.n, k) for a in vars(e).values()):
+        raise DomainError(f"E-step shapes {[np.shape(a) for a in vars(e).values()]} must all be (N, K)=({data.n}, {k})")
     x, rows, mean = _whole(data, model)
     tau = e.tau.T
     sums = np.zeros((k, p + 4))
@@ -326,55 +324,57 @@ def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None
     return TkModel(centers, max(float(total) / n / data.p, _ALPHA_FLOOR), nu0)
 
 
-def _pass(x, rows, mean, model: TkModel, bufs, totals, sums=None, free_nu=False, labels=None) -> float:
+def _pass(x, rows, mean, model: TkModel, bufs, sums=None, free_nu=False, top=None) -> float:
     """Score ``model`` over the data block by block; returns its negative log likelihood.
 
     Every block reuses the two flat ``bufs`` (at least K*B floats each) as
     its (K, B) matrices: the first holds the distances, ``ln(1 + s)``, ``E
     ln u``, ``u`` and then the weights ``w = tau*u``, each in place of the
-    last, the second ln t and then ``tau``.  ``totals`` (N,) receives the
-    rows' sums of exponentials.  With ``sums``, the E-step's M-step sums
-    are added to it, ``sum tau E ln u`` only when ``free_nu``, before
-    ``u`` overwrites ``E ln u``; with ``labels``, the argmax
-    responsibilities are written into it.
+    last, the second ln t and then ``tau``.  With ``sums``, the E-step's
+    M-step sums are added to it, ``sum tau E ln u`` only when ``free_nu``,
+    before ``u`` overwrites ``E ln u``; ``top``, two N-vectors, receives
+    each point's argmax responsibility and largest ``tau``.
     """
     k, p = model.k, model.p
     loss = 0.0
     for start, stop in _util.blocks(x.shape[0], _util.BLOCK):
         rows_b = rows[:, start:stop]
         views = (_util.block_view(buf, k, stop - start) for buf in bufs)
-        lse, tau, log_u = _e_block(x[start:stop], rows_b, mean, model, *views, totals[start:stop, None])
+        lse, tau, log_u = _e_block(x[start:stop], rows_b, mean, model, *views)
         loss += _nll(lse, model)
         if sums is not None:
             if free_nu:
                 sums[:, p + 3] += np.einsum("kb,kb->k", tau.T, log_u)
             u = _util.precision_weights(log_u, model.nu, p, out=log_u)
             _add_sums(sums, tau.T, np.multiply(tau.T, u, out=u), rows_b)
-        if labels is not None:
-            _util.arg_extreme(tau.T, largest=True, index=labels[start:stop])
+        if top is not None:
+            _util.arg_extreme(tau.T, largest=True, index=top[0][start:stop], value=top[1][start:stop])
     return loss
 
 
-def _run_em(x, rows, mean, model: TkModel, cfg: FitConfig, budget: int, trace: list[float], bufs, totals):
+def _top(x, rows, mean, model: TkModel, bufs):
+    """Each point's argmax responsibility under ``model`` and its largest ``tau``, from one more pass."""
+    top = np.empty(x.shape[0], dtype=np.intp), np.empty(x.shape[0])
+    _pass(x, rows, mean, model, bufs, top=top)
+    return top
+
+
+def _run_em(x, rows, mean, model: TkModel, cfg: FitConfig, budget: int, trace: list[float], bufs):
     """Iterate M-steps and passes until the NLL meets ``tol`` or ``budget`` runs out, appending to ``trace``.
 
-    A first pass scores ``model`` and gathers its M-step sums; each
-    iteration then runs the M-step from the sums and one pass of the new
-    model, which gives its NLL and the next sums, so I iterations take I+1
-    passes.  Returns the last model; the last pass's buffers hold its E-step.
+    A first pass scores ``model`` and gathers its M-step sums; each step
+    of ``_util.em_steps`` then runs the M-step from the sums and one pass
+    of the new model, which gives its NLL and the next sums, so I
+    iterations take I+1 passes (a re-seed one more, ``_top``).  Returns
+    the last model; the last pass's buffers hold its E-step.
     """
     free_nu = cfg.fixed_nu is None
     sums = np.zeros((model.k, model.p + 4))
-    _pass(x, rows, mean, model, bufs, totals, sums, free_nu)
-    prev_loss = None
-    for _ in range(budget):
-        model = _m_step_from_sums(sums, mean, model, cfg, x, lambda: 1.0 / totals)
+    _pass(x, rows, mean, model, bufs, sums, free_nu)
+    for _ in _util.em_steps(trace, budget, cfg.tol):
+        model = _m_step_from_sums(sums, mean, model, cfg, x, lambda: _top(x, rows, mean, model, bufs)[1])
         sums.fill(0.0)
-        loss = _pass(x, rows, mean, model, bufs, totals, sums, free_nu)
-        trace.append(loss)
-        if _util.converged(loss, prev_loss, cfg.tol):
-            break
-        prev_loss = loss
+        trace.append(_pass(x, rows, mean, model, bufs, sums, free_nu))
     return model
 
 
@@ -410,17 +410,15 @@ def fit(data: Dataset, k: int, cfg: FitConfig | None = None) -> ClusteringResult
     trace: list[float] = []
     rows, mean = block = _util.distance_block(x)
     bufs = [np.empty(k * min(n, _util.BLOCK)) for _ in range(2)]
-    totals = np.empty(n)
     model = _initial_model(data, k, cfg, nu0, block, bufs[0])
-    model = _run_em(x, rows, mean, model, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace, bufs, totals)
+    model = _run_em(x, rows, mean, model, replace(cfg, fixed_nu=nu0), cfg.max_iter, trace, bufs)
     if cfg.fixed_nu is None and len(trace) < cfg.max_iter:
         model = TkModel(model.centers, model.alpha, _util.NU_START)
-        model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs, totals)
+        model = _run_em(x, rows, mean, model, cfg, cfg.max_iter - len(trace), trace, bufs)
     if n <= _util.BLOCK:
         labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
-        labels = np.empty(n, dtype=np.intp)
-        _pass(x, rows, mean, model, bufs, totals, labels=labels)
+        labels, _ = _top(x, rows, mean, model, bufs)
     wall = time.perf_counter() - start
     return ClusteringResult(labels, model.centers.copy(), np.asarray(trace), len(trace), wall, model=model)
 

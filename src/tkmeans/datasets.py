@@ -172,9 +172,9 @@ def load_csv_labeled(path, label_column="last", name: str | None = None) -> Data
     if label_column == "last":
         col = width - 1
     else:
-        try:
-            col = int(label_column)
-        except (TypeError, ValueError):
+        try:  # through its text, so a bool or a float is refused where int() would truncate it
+            col = int(str(label_column))
+        except ValueError:
             raise DomainError(f"label_column must be an index or 'last', got {label_column!r}") from None
     if not 0 <= col < width:
         raise DomainError(f"label column {label_column} out of range for {width} columns")

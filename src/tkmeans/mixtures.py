@@ -329,15 +329,14 @@ def _scatter(mom: _Moments, sums: np.ndarray, outer, nk: np.ndarray, ridge: floa
 def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free_nu=False):
     """The EM loop of ``gmm_fit`` (``nu`` None) and ``tmm_fit``; returns (ClusteringResult, MixtureModel).
 
-    A first pass scores the initial parameters and gathers their M-step
-    sums; an iteration traces the log likelihood of the last pass, stops
-    on ``_util.converged``, then runs the M-step from the sums and the
-    next pass, so I M-steps take I+1 passes and one ``_maha_logdet`` call
-    each.  Labels are the argmax responsibilities of the last pass: from
-    its buffer when one block covers the data, else from one more pass of
-    the same E-step.  The t M-step weights by ``r * u`` instead of ``r``
-    and moves ``nu`` when ``free_nu``.  A sum that overflows float64
-    raises ``NumericalError``.
+    A first pass scores the initial parameters, gathers their M-step sums
+    and starts the trace; each step of ``_util.em_steps`` runs the M-step
+    from the sums and the next pass, which traces its log likelihood, so I
+    M-steps take I+1 passes and one ``_maha_logdet`` call each; at
+    ``max_iter`` the last is cut from the trace.  Labels are the argmax
+    responsibilities of the last pass: from its buffer when one block
+    covers the data, else from one more pass of the same E-step.  A sum
+    that overflows float64 raises ``NumericalError``.
     """
     cfg = cfg if cfg is not None else BaselineConfig(init="kmeanspp")
     k = _util.check_k(k, data.n)
@@ -359,15 +358,9 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
     bufs = [None if mom.packed else np.empty(k * p * b)] + [np.empty(k * b) for _ in range(1 if nu is None else 2)]
     sums = np.empty((k, rows + 2))
     outer = None if mom.packed or constrained_alpha is not None else np.empty((k * p, p))
-    trace: list[float] = []
-    prev_ll = None
     e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
-    ll = _pass(mom, e, bufs, sums, outer, free_nu)
-    for _ in range(cfg.max_iter):
-        trace.append(ll)
-        if _util.converged(ll, prev_ll, cfg.tol):
-            break
-        prev_ll = ll
+    trace = [_pass(mom, e, bufs, sums, outer, free_nu)]
+    for _ in _util.em_steps(trace, cfg.max_iter, cfg.tol, prev=trace[0]):
         if not np.isfinite(sums).all() or (outer is not None and not np.isfinite(outer).all()):
             raise NumericalError("the M-step's weighted sums overflow float64; rescale the data")
         mass = sums[:, p]
@@ -385,7 +378,8 @@ def _em(data: Dataset, k: int, cfg, ridge, constrained_alpha=None, nu=None, free
             if free_nu:
                 nu = _util.nu_from_sums(sums[:, rows + 1] - mass, nk)
         e = _e_step(weights, means, covs, nu, mom.c, mom.quad)
-        ll = _pass(mom, e, bufs, sums, outer, free_nu)
+        trace.append(_pass(mom, e, bufs, sums, outer, free_nu))
+    del trace[cfg.max_iter :]
     if n <= _util.BLOCK:
         labels, _ = _util.arg_extreme(_util.block_view(bufs[1], k, n), largest=True)
     else:
@@ -411,7 +405,8 @@ def gmm_fit(
     Responsibilities are normalized in log space; each M-step covariance
     gains ``ridge`` times the identity (default 1e-6 of the mean feature
     variance).  The loss trace carries the observed-data log likelihood,
-    which is non-decreasing.
+    which is non-decreasing; it starts at the initial parameters' and, at
+    ``max_iter``, leaves out the returned model's.
 
     ``constrained_alpha`` switches on a reduced mode used for equivalence
     testing: weights stay uniform and every covariance is pinned to
@@ -434,7 +429,7 @@ def tmm_fit(
     the mean and scatter updates.  Unless ``fixed_nu`` pins it, ``nu``
     starts at 3 and is re-estimated each iteration through the closed-form
     approximation ``core.fit`` uses, clamped to [1, 200].  Runs the EM loop
-    of ``gmm_fit``.  Returns (ClusteringResult, MixtureModel).
+    of ``gmm_fit``, with its trace.  Returns (ClusteringResult, MixtureModel).
     """
     nu = _util.NU_START if fixed_nu is None else fixed_nu
     return _em(data, k, cfg, ridge, nu=nu, free_nu=fixed_nu is None)

@@ -129,7 +129,7 @@ def log_sum_exp(values, axis: int | None = None):
     return np.squeeze(out, axis=axis)
 
 
-def _log_normalize(log_r: np.ndarray, out: np.ndarray | None = None, total: np.ndarray | None = None):
+def _log_normalize(log_r: np.ndarray, out: np.ndarray | None = None):
     """Row log-sum-exps and row-normalized exponentials of an (N, K) array, from one ``exp`` pass.
 
     Returns ``(row_ll, r)``: ``row_ll`` equals ``log_sum_exp(log_r,
@@ -137,15 +137,12 @@ def _log_normalize(log_r: np.ndarray, out: np.ndarray | None = None, total: np.n
     exp(log_r - max)`` is ``exp(log_r - row_ll)`` up to rounding, each row
     summing to 1 within a few ulps.  ``r`` is written into ``out`` when
     given (``out=log_r`` normalizes in place) and keeps the memory layout
-    of ``log_r``.  ``total``, an (N, 1) array when given, receives the row
-    sums of ``e``; the largest ``e`` of a row is exp(0) = 1, so the row's
-    largest ``r`` is exactly ``1 / total``.  Raises the ``DomainError``s of
-    ``log_sum_exp``.
+    of ``log_r``.  Raises the ``DomainError``s of ``log_sum_exp``.
     """
     shift = _checked_shift(log_r, 1)
     e = np.subtract(log_r, shift, out=out)
     np.exp(e, out=e)
-    total = np.sum(e, axis=1, keepdims=True, out=total)
+    total = np.sum(e, axis=1, keepdims=True)
     row_ll = np.squeeze(shift + np.log(total), axis=1)
     e /= total
     return row_ll, e

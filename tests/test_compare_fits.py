@@ -83,6 +83,36 @@ def test_an_entry_keeps_the_moved_labels_and_the_centers_of_a_changed_fit():
     assert failed == {**key, "class": "other", "peak_mb": [None, 1.5], "errors": ["NumericalError: overflow", None]}
 
 
+def test_moved_labels_are_counted_in_every_class():
+    # a swap inside a group of coincident components moves labels, though its class admits them
+    centers = ((0.0, 0.0), (5.0, 5.0), (5.0, 5.0 + 2e-11))
+    key = {"algorithm": "tkmeans", "cell": "s1", "seed": 7}
+    parent = {**record(labels=(0, 1, 2, 2), centers=centers, loss_trace=(3.0, 2.0)), **key}
+    swapped = {**record(labels=(0, 2, 1, 2), centers=centers, loss_trace=(3.0, 2.0 + 1e-15)), **key}
+    moved_one = {**record(labels=(1, 1, 2, 2), centers=centers), **key}
+    pairs = [compare_fits.entry(parent, b) for b in (parent, swapped, swapped, moved_one, {"error": "x", **key})]
+    counts = compare_fits.moved_labels(pairs)
+    assert list(counts) == list(compare_fits.CLASSES)
+    assert counts["coincident components"] == [2, 4]
+    assert counts["labels differ"] == [1, 1]
+    assert counts["bit-identical"] == [0, 0] and counts["other"] == [0, 0]
+
+
+def test_main_prints_the_moved_labels_of_each_class(monkeypatch, capsys, tmp_path):
+    centers = ((0.0, 0.0), (5.0, 5.0), (5.0, 5.0 + 2e-11))
+    key = {"algorithm": "tkmeans", "cell": "s1", "seed": 7}
+    parent = {**record(labels=(0, 1, 2, 2), centers=centers, loss_trace=(3.0, 2.0)), **key}
+    swapped = {**record(labels=(0, 2, 1, 2), centers=centers, loss_trace=(3.0, 2.0 + 1e-15)), **key}
+    sides = iter([[parent, parent], [parent, swapped]])
+    monkeypatch.setattr(compare_fits, "run_tree", lambda tree, seeds: next(sides))
+    assert compare_fits.main(["--parent", str(tmp_path), "--change", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "coincident components: 1" in out and "labels differ: 0" in out
+    assert "moved labels in coincident components: 1 fits, 2 points" in out
+    assert "moved labels in bit-identical: 0 fits, 0 points" in out
+    assert "moved labels in labels differ: 0 fits, 0 points" in out
+
+
 def test_matching_failures_are_identical():
     failed = {"error": "NumericalError: overflow"}
     assert compare_fits.classify(failed, dict(failed)) == "bit-identical"

@@ -227,6 +227,16 @@ class TestMStep:
         m = m_step(d, e, TkModel([[0.0], [5.0]], 1.0, 3.0), FitConfig(fixed_nu=3.0))
         assert m.centers[1, 0] in (0.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("field, cut", [("u", np.s_[:, :1]), ("log_u_expect", np.s_[:, :1]), ("u", np.s_[:5])],
+                             ids=["u-one-column", "log-u-one-column", "u-five-rows"])
+    def test_every_e_step_matrix_must_be_n_by_k(self, field, cut):
+        # a one-column u broadcast over all K columns and moved the centers with no error
+        d = generate_gaussian_blobs(3, 10, 2, seed=0)
+        model = TkModel(d.samples[[0, 10, 20]], 1.0, 3.0)
+        e = e_step(d, model)
+        bad = replace(e, **{field: getattr(e, field)[cut]})
+        with pytest.raises(DomainError, match="must all be"):
+            m_step(d, bad, model, FitConfig())
 
     def test_overflowing_sums_raise_a_typed_error(self):
         # every distance is finite, but the weighted sums of |x - m|^2 over 100 points are not
@@ -437,9 +447,9 @@ class TestFit:
         buffers = []
         inner = core._pass
 
-        def recording(x, rows, mean, model, bufs, totals, *args, **kwargs):
-            buffers.extend([*bufs, totals, rows])
-            return inner(x, rows, mean, model, bufs, totals, *args, **kwargs)
+        def recording(x, rows, mean, model, bufs, *args, **kwargs):
+            buffers.extend([*bufs, rows])
+            return inner(x, rows, mean, model, bufs, *args, **kwargs)
 
         monkeypatch.setattr(core, "_pass", recording)
         d = generate_gaussian_blobs(3, 40, 2, seed=4)
@@ -478,10 +488,10 @@ class TestFit:
         seen = []
         inner = core._pass
 
-        def recording(x, rows, mean, model, bufs, totals, *args, **kwargs):
+        def recording(x, rows, mean, model, bufs, *args, **kwargs):
             tracemalloc.start()
             try:
-                loss = inner(x, rows, mean, model, bufs, totals, *args, **kwargs)
+                loss = inner(x, rows, mean, model, bufs, *args, **kwargs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -542,7 +552,7 @@ class TestFit:
 
     @pytest.mark.parametrize("block", [4096, 7])
     def test_a_massless_component_is_reseeded_as_in_the_public_loop(self, monkeypatch, block):
-        # at nu=200 the far center's tau underflows to 0 everywhere; the fit orders the points by 1/row sum
+        # at nu=200 the far center's tau underflows to 0 everywhere; the fit takes the largest taus from one more pass
         from tkmeans import _util
 
         x = np.random.default_rng(6).normal(0, 1, (40, 2))

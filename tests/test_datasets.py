@@ -120,6 +120,22 @@ class TestCsvLoader:
         d = load_csv_labeled(f, label_column=0)
         assert d.p == 2 and np.array_equal(d.labels, [0, 1])
 
+    @pytest.mark.parametrize("column", [1, "1", np.int64(1), np.uint8(1)])
+    def test_label_column_as_an_integer_or_its_text(self, tmp_path, column):
+        f = tmp_path / "d.csv"
+        f.write_text("1.0,A,2.0\n1.5,B,2.5\n1.5,A,2.5\n")
+        d = load_csv_labeled(f, label_column=column)
+        assert np.array_equal(d.samples, [[1.0, 2.0], [1.5, 2.5], [1.5, 2.5]])
+        assert np.array_equal(d.labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("column", [1.7, 1.0, True, np.True_, np.float64(1.0), "1.7", "one", None])
+    def test_label_column_refuses_what_int_would_truncate(self, tmp_path, column):
+        # int() reads 1.7 and True as column 1
+        f = tmp_path / "d.csv"
+        f.write_text("1.0,A,2.0\n1.5,B,2.5\n")
+        with pytest.raises(DomainError, match="label_column must be an index or 'last'"):
+            load_csv_labeled(f, label_column=column)
+
 
 class TestStandardize:
     def test_two_point_column(self):

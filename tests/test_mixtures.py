@@ -452,6 +452,20 @@ class TestLoopPaths:
         assert np.array_equal(capped.labels, log_r.argmax(axis=1))
 
 
+    @pytest.mark.parametrize("fit, kwargs, nu", [(gmm_fit, {}, None), (tmm_fit, {}, 3.0),
+                                                  (tmm_fit, {"fixed_nu": 5.0}, 5.0)])
+    def test_the_trace_starts_at_the_initial_parameters(self, fit, kwargs, nu):
+        # uniform weights, the given means and the data scatter plus the ridge for every covariance
+        d = generate_gaussian_blobs(3, 30, 2, cluster_std=1.2, seed=3)
+        means = d.samples[[0, 30, 60]]
+        result, _ = fit(d, 3, BaselineConfig(init=means), ridge=1e-3, **kwargs)
+        cov = np.cov(d.samples, rowvar=False, ddof=0) + 1e-3 * np.eye(2)
+        initial = MixtureModel(np.full(3, 1 / 3), means, np.repeat(cov[None], 3, axis=0), nu=nu)
+        log_r = _per_component_log_resp(d.samples, initial)
+        assert result.loss_trace[0] == pytest.approx(float(log_sum_exp(log_r, axis=1).sum()), rel=1e-12)
+        assert result.iterations > 1 and result.loss_trace[1] > result.loss_trace[0]
+
+
 def test_default_ridge_underflow_is_named():
     d = generate_gaussian_blobs(3, 20, 2, seed=0)
     tiny = Dataset(d.samples * 1e-170)

@@ -256,6 +256,34 @@ class TestClusterMeans:
 
 
 
+def _run_em_steps(losses, budget, tol, prev=None):
+    """Drive ``_util.em_steps`` with ``losses`` as the steps' losses; returns the trace."""
+    trace, steps = [], iter(losses)
+    for _ in _util.em_steps(trace, budget, tol, prev):
+        trace.append(next(steps))
+    return trace
+
+
+class TestEmSteps:
+    def test_the_budget_runs_out(self):
+        assert _run_em_steps([10.0, 5.0, 2.0, 1.0], 3, 1e-3) == [10.0, 5.0, 2.0]
+        assert _run_em_steps([10.0], 0, 1e-3) == []
+
+    def test_the_stop_comes_after_the_step_whose_loss_meets_tol(self):
+        # 8.995 moved 0.005 from 9.0, below tol * 9.0 = 0.009; 9.0 moved 1.0 from 10.0
+        assert _run_em_steps([10.0, 9.0, 8.995, 7.0], 4, 1e-3) == [10.0, 9.0, 8.995]
+        # the bound is strict and relative to the earlier loss: 3.0 moved exactly 0.25 * 4.0 from 4.0
+        assert _run_em_steps([4.0, 3.0, 2.0], 3, 0.25) == [4.0, 3.0, 2.0]
+        assert _run_em_steps([-4.0, -3.5, -3.0], 3, 0.25) == [-4.0, -3.5]
+
+    def test_without_prev_the_first_step_never_stops(self):
+        assert _run_em_steps([3.0, 3.0], 5, 0.5) == [3.0, 3.0]
+
+    def test_with_prev_the_first_step_can_stop(self):
+        assert _run_em_steps([3.0, 3.0], 5, 0.5, prev=3.0) == [3.0]
+        assert _run_em_steps([3.0, 1.0, 1.0], 5, 0.5, prev=10.0) == [3.0, 1.0, 1.0]
+
+
 class TestTModelPieces:
     def test_nu_from_sums_averages_the_healthy_components(self):
         rng = np.random.default_rng(9)

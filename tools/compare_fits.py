@@ -40,7 +40,9 @@ the members apart along the direction that separates them.  Within a
 group the labels may differ and the centers may move by up to 1e-7 x
 scale, as long as the group's mean center stays within 1e-10 x scale; a
 single component keeps the 1e-10 x scale bound.  The per-class counts,
-each cell's largest raw center gap and each cell's largest ``peak_mb`` on
+with how many fits of each class moved labels and how many points they
+moved (so a moved label shows also where its class admits it), each
+cell's largest raw center gap and each cell's largest ``peak_mb`` on
 either side go to stdout, and every fit pair to ``--out`` (see
 ``entry``).  Standard library only in this process.
 """
@@ -202,6 +204,16 @@ def cell_peaks(pairs: list[dict]) -> dict:
     return {cell: tuple(max(side, default=None) for side in both) for cell, both in sides.items()}
 
 
+def moved_labels(pairs: list[dict]) -> dict:
+    """Per class, the number of fit pairs whose labels moved and the points they moved, from ``entry`` records."""
+    out = {name: [0, 0] for name in CLASSES}
+    for pair in pairs:
+        moved = len(pair.get("moved", ()))
+        out[pair["class"]][0] += moved > 0
+        out[pair["class"]][1] += moved
+    return out
+
+
 def source_tree(name: str, scratch: Path) -> Path:
     """``name`` as a directory, or else the git revision ``name`` exported into ``scratch``."""
     if Path(name).is_dir():
@@ -249,6 +261,8 @@ def main(argv=None) -> int:
     for name in CLASSES:
         print(f"{name}: {counts[name]}")
     print(f"total: {len(pairs)}")
+    for name, (fits, points) in moved_labels(pairs).items():
+        print(f"moved labels in {name}: {fits} fits, {points} points")
     for (algorithm, cell), gap in gaps.items():
         print(f"max center gap {algorithm} {cell}: {gap:.3g}")
     for (algorithm, cell), peaks in cell_peaks(pairs).items():
