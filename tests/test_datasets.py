@@ -120,7 +120,7 @@ class TestCsvLoader:
         d = load_csv_labeled(f, label_column=0)
         assert d.p == 2 and np.array_equal(d.labels, [0, 1])
 
-    @pytest.mark.parametrize("column", [1, "1", np.int64(1), np.uint8(1)])
+    @pytest.mark.parametrize("column", [1, "1", np.int64(1), np.uint8(1)], ids=["int", "text", "int64", "uint8"])
     def test_label_column_as_an_integer_or_its_text(self, tmp_path, column):
         f = tmp_path / "d.csv"
         f.write_text("1.0,A,2.0\n1.5,B,2.5\n1.5,A,2.5\n")
@@ -128,7 +128,8 @@ class TestCsvLoader:
         assert np.array_equal(d.samples, [[1.0, 2.0], [1.5, 2.5], [1.5, 2.5]])
         assert np.array_equal(d.labels, [0, 1, 0])
 
-    @pytest.mark.parametrize("column", [1.7, 1.0, True, np.True_, np.float64(1.0), "1.7", "one", None])
+    @pytest.mark.parametrize("column", [1.7, 1.0, True, np.True_, np.float64(1.0), "1.7", "one", None],
+                             ids=["1.7", "1.0", "True", "np.True_", "float64", "text-1.7", "one", "None"])
     def test_label_column_refuses_what_int_would_truncate(self, tmp_path, column):
         # int() reads 1.7 and True as column 1
         f = tmp_path / "d.csv"
