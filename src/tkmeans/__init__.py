@@ -1,96 +1,28 @@
-"""Robust heavy-tailed clustering, baselines, metrics, and a benchmark harness."""
+"""Robust heavy-tailed clustering, baselines, metrics, and a benchmark harness.
 
-from .baselines import BaselineConfig, kmeans_fit, kmeanspp_seed, kmedians_fit, kmedoids_fit
-from .core import (
-    EStepResult,
-    FitConfig,
-    TkModel,
-    e_step,
-    fit,
-    fit_fast,
-    log_l2_loss,
-    log_t_density,
-    m_step,
-    negative_log_likelihood,
-)
-from .datasets import (
-    ContaminationSpec,
-    Dataset,
-    contaminate,
-    generate_gaussian_blobs,
-    load_benchmark_text,
-    load_csv_labeled,
-    standardize,
-)
-from .errors import (
-    DegenerateMetricError,
-    DomainError,
-    FormatError,
-    NumericalError,
-    TkmeansError,
-    UsageError,
-)
-from .harness import (
-    ALGORITHMS,
-    BenchReport,
-    BenchRow,
-    RunSpec,
-    run_bench,
-    run_once,
-    run_robustness,
-)
-from .metrics import MetricReport, adjusted_rand_index, clustering_mse, wb_ratio
-from .mixtures import MixtureModel, gmm_fit, tmm_fit
-from .results import ClusteringResult
-from .specialfn import digamma, log_gamma, log_sum_exp
+Each module names its public API in its own ``__all__``; the package re-exports all of them.
+"""
+
+from . import baselines, core, datasets, errors, harness, metrics, mixtures, results, specialfn
+from .baselines import *  # noqa: F403
+from .core import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .mixtures import *  # noqa: F403
+from .results import *  # noqa: F403
+from .specialfn import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "BaselineConfig",
-    "BenchReport",
-    "BenchRow",
-    "ClusteringResult",
-    "ContaminationSpec",
-    "Dataset",
-    "DegenerateMetricError",
-    "DomainError",
-    "EStepResult",
-    "FitConfig",
-    "FormatError",
-    "MetricReport",
-    "MixtureModel",
-    "NumericalError",
-    "RunSpec",
-    "TkModel",
-    "TkmeansError",
-    "UsageError",
-    "adjusted_rand_index",
-    "clustering_mse",
-    "contaminate",
-    "digamma",
-    "e_step",
-    "fit",
-    "fit_fast",
-    "generate_gaussian_blobs",
-    "gmm_fit",
-    "kmeans_fit",
-    "kmeanspp_seed",
-    "kmedians_fit",
-    "kmedoids_fit",
-    "load_benchmark_text",
-    "load_csv_labeled",
-    "log_gamma",
-    "log_l2_loss",
-    "log_sum_exp",
-    "log_t_density",
-    "m_step",
-    "negative_log_likelihood",
-    "run_bench",
-    "run_once",
-    "run_robustness",
-    "standardize",
-    "tmm_fit",
-    "wb_ratio",
-]
+__all__ = []
+__all__ += baselines.__all__
+__all__ += core.__all__
+__all__ += datasets.__all__
+__all__ += errors.__all__
+__all__ += harness.__all__
+__all__ += metrics.__all__
+__all__ += mixtures.__all__
+__all__ += results.__all__
+__all__ += specialfn.__all__

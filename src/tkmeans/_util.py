@@ -15,8 +15,10 @@ from .specialfn import check_positive, digamma, log_gamma  # noqa: F401 - the ot
 
 
 def as_int(name: str, value) -> int:
-    """``value`` as an int when it is a Python or numpy integer; anything else raises ``DomainError``."""
+    """``value`` as an int when it is a Python or numpy integer but not a bool; else ``DomainError``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["TkmeansError", "UsageError", "DomainError", "FormatError", "NumericalError", "DegenerateMetricError"]
+
 
 class TkmeansError(Exception):
     """Base class for every error raised by this package."""

@@ -99,7 +99,7 @@ class RunSpec:
             raise UsageError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
             )
-        if not (isinstance(self.repeats, numbers.Integral) and self.repeats >= 1):
+        if isinstance(self.repeats, bool) or not (isinstance(self.repeats, numbers.Integral) and self.repeats >= 1):
             raise UsageError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
 
@@ -165,12 +165,14 @@ def run_once(spec: RunSpec, seed: int, data: Dataset | None = None):
     if data is None:
         data = resolve_dataset(spec)
     result = _dispatch(spec, data, seed)
-    ari = None
-    if data.labels is not None:
-        ari = adjusted_rand_index(data.labels, result.labels)
+    return result, _score(data, result, data.labels)
+
+
+def _score(data: Dataset, result: ClusteringResult, truth) -> MetricReport:
+    """ARI of the first ``len(truth)`` labels against ``truth`` (None without it), MSE and W/B on ``data``."""
+    ari = None if truth is None else adjusted_rand_index(truth, result.labels[: len(truth)])
     mse = clustering_mse(data, result.centers, result.labels)
-    wb = wb_ratio(data, result.centers, result.labels)
-    return result, MetricReport(ari, mse, wb)
+    return MetricReport(ari, mse, wb_ratio(data, result.centers, result.labels))
 
 
 # The report's metrics in column order, read by every output format: the key of the run
@@ -392,9 +394,7 @@ def run_robustness(
             def fit_and_score(seed):
                 noisy = contaminate(base, replace(contamination, seed=seed))
                 result = _dispatch(spec, noisy, seed)
-                ari = adjusted_rand_index(base.labels, result.labels[: base.n])
-                mse = clustering_mse(noisy, result.centers, result.labels)
-                return result, MetricReport(ari, mse, wb_ratio(noisy, result.centers, result.labels))
+                return result, _score(noisy, result, base.labels)
 
             rows.append(_run_cell(spec, base.name, fit_and_score, contamination.outlier_fraction))
     return BenchReport(tuple(rows))

@@ -63,6 +63,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 def _assigned_sq_dists(data: Dataset, centers, labels) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
     if centers.ndim != 2 or centers.shape[1] != data.p:
         raise DomainError(f"centers must be (K, {data.p}), got {centers.shape}")
     if labels.shape != (data.n,):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkmeans import harness
-from tkmeans.baselines import BaselineConfig, kmeans_fit, kmedians_fit, kmedoids_fit
+from tkmeans.baselines import BaselineConfig, kmeans_fit, kmeanspp_seed, kmedians_fit, kmedoids_fit
 from tkmeans.core import FitConfig, TkModel, fit, fit_fast, log_t_density
 from tkmeans.datasets import ContaminationSpec, Dataset, generate_gaussian_blobs
 from tkmeans.errors import DegenerateMetricError, DomainError, NumericalError, TkmeansError, UsageError
@@ -216,6 +216,27 @@ def test_repeats_may_be_a_numpy_integer():
     assert RunSpec("kmeans", TWO_BLOBS, 2, repeats=np.int64(2)).repeats == 2
     with pytest.raises(UsageError, match="^repeats must be an integer >= 1, got 2.0$"):
         RunSpec("kmeans", TWO_BLOBS, 2, repeats=2.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda d: fit(d, True, FitConfig(max_iter=2)), DomainError),
+        (lambda d: fit(d, 2, FitConfig(seed=True, max_iter=2)), DomainError),
+        (lambda d: BaselineConfig(max_iter=True), DomainError),
+        (lambda d: kmeanspp_seed(d, 2, seed=True), DomainError),
+        (lambda d: generate_gaussian_blobs(True, 5, 2), DomainError),
+        (lambda d: generate_gaussian_blobs(2, 5, True), DomainError),
+        (lambda d: generate_gaussian_blobs(2, 5, 2, seed=False), DomainError),
+        (lambda d: RunSpec("kmeans", d, 2, repeats=True), UsageError),
+    ],
+    ids=["fit-k", "fit-seed", "max_iter", "kmeanspp-seed", "blobs-k", "blobs-p", "blobs-seed", "repeats"],
+)
+def test_a_bool_is_not_an_integer(call, error):
+    # operator.index(True) is 1: only an explicit check keeps a bool from running as a K, seed or count of 1 or 0
+    with pytest.raises(error, match="must be an integer"):
+        call(parse_generator_spec(TWO_BLOBS))
+
 
 def _points(distinct, duplicates, p, offset, log_scale, seed):
     rng = np.random.default_rng(seed)

@@ -117,3 +117,11 @@ class TestWbRatio:
         d = Dataset(x)
         w = sum(((x[lab == j] - centers[j]) ** 2).sum() for j in range(3))
         assert clustering_mse(d, centers, lab) == pytest.approx(w / 25.0)
+
+
+@pytest.mark.parametrize("metric", [clustering_mse, wb_ratio])
+@pytest.mark.parametrize("labels", [[0.0, 1.0], [False, True]], ids=["float", "bool"])
+def test_labels_that_are_not_integers_are_a_domain_error(metric, labels):
+    # numpy would index with bools as a mask and refuse floats with a bare IndexError
+    with pytest.raises(DomainError, match="^labels must be integers, got dtype "):
+        metric(Dataset([[0.0], [2.0]]), [[0.0], [2.0]], labels)
