@@ -9,7 +9,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .specialfn import check_positive, digamma, log_gamma  # noqa: F401 - the other modules' check_positive
+from .specialfn import _log_normalize, check_positive, digamma, log_gamma  # noqa: F401 - the other modules' check_positive
 
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 
@@ -86,7 +86,7 @@ def distance_block(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # (centers, points) stay the two positional arguments: perfbench's tracer reads both shapes for temp_mb.
-def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=None) -> np.ndarray:
+def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=None, scale=None) -> np.ndarray:
     """Squared Euclidean distances of ``centers`` to ``points``, shape (K, B), as one GEMM.
 
     ``block = (rows, m)``: ``rows`` are the columns of the data's
@@ -94,8 +94,11 @@ def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=Non
     at ``m``.  ``|x-m|^2 - 2 (c-m)(x-m)^T + |c-m|^2`` is the product of the
     (K, p+2) operand ``[-2(c-m) | 1 | |c-m|^2]`` with ``rows``: no (N, K, p)
     temporary, and a cancellation error near eps * (|x-m|^2 + |c-m|^2)
-    however far the data sit from the origin.  The result, into ``out``
-    when given, is clamped at 0.  Raises ``NumericalError`` when a distance
+    however far the data sit from the origin.  With ``scale``, the operand
+    is multiplied by it, so the GEMM gives ``scale`` times the distances
+    (``core``'s ``d2/(nu*alpha)``) with no pass over the (K, B) result;
+    without it the operand is left as is.  The result, into ``out`` when
+    given, is clamped at 0.  Raises ``NumericalError`` when a distance
     overflows (or is NaN), tested on the maximum, where a NaN or +inf shows
     after the clamp, so no mask of the result is built.
     """
@@ -108,6 +111,8 @@ def pairwise_sq_dists(centers: np.ndarray, points: np.ndarray, *, block, out=Non
         operand[:, p] = 1.0
         np.einsum("kp,kp->k", cs, cs, out=operand[:, p + 1])
         cs *= -2.0
+        if scale is not None:
+            operand *= scale
         d2 = np.matmul(operand, rows, out=out)
         np.maximum(d2, 0.0, out=d2)
     if not np.isfinite(d2.max()):
@@ -224,6 +229,54 @@ def precision_weights(log_u: np.ndarray, nu: float, p: int, out=None) -> np.ndar
     """The precision weights ``u = exp(E ln u - kappa)`` of ``log_u`` (``E ln u``), into ``out`` when given."""
     u = np.subtract(log_u, log_u_consts(nu, p)[1], out=out)
     return np.exp(u, out=u)
+
+
+# A point's total of exp(ln t - bound) below this is normalized again with its own max shift: its
+# nearest component then lies beyond e^-645 of the bound, near where exp's terms turn subnormal.
+LOW_TOTAL = 1e-280
+
+
+def t_normalize(lp: np.ndarray, scale: float, bias, out: np.ndarray):
+    """Row log-likelihoods (B,) and responsibilities (K, B) of a t E-step, against a bound known in advance.
+
+    ``lp`` (K, B) holds ``log1p(maha/nu)`` >= 0 and ``scale`` is
+    -(nu+p)/2 < 0, so every unnormalized log responsibility ``scale * lp +
+    bias`` is at most the bound: 0 without ``bias`` (``core``, whose equal
+    weights and distance-free constant are left out), else the largest
+    entry of the (K, 1) ``bias``, which is subtracted from that column.
+    ``out`` receives ``e = exp(scale * lp + bias - bound)`` <= 1, each
+    point's total is one ``np.add.reduce`` over the K rows, ``r = e * (1 /
+    total)`` is formed in place and the row log-likelihoods are ``log(total)
+    + bound``: no per-point max, no broadcast subtract and no divide of a
+    (K, B) matrix.  ``lp`` is only read.
+
+    A total of at least ``LOW_TOTAL`` keeps ``1 / total`` below 1e280, and
+    its largest term normal, so every ``r`` whose term is normal has full
+    relative precision and one lost to a subnormal or 0 is below about
+    2e-28.  A point whose total falls below it (or is NaN) is redone from
+    ``lp`` with its own max shift, ``specialfn._log_normalize``, whose
+    ``DomainError`` a NaN raises.
+    """
+    bound = 0.0 if bias is None else float(bias.max())
+    np.multiply(lp, scale, out=out)
+    if bias is not None:
+        out += bias - bound
+    np.exp(out, out=out)
+    total = np.add.reduce(out, axis=0)
+    low = np.flatnonzero(~(total >= LOW_TOTAL))
+    if low.size:
+        logt = np.multiply(lp[:, low], scale)
+        if bias is not None:
+            logt += bias
+        low_ll, low_r = _log_normalize(logt.T)
+        total[low] = 1.0  # their columns are overwritten below
+    row_ll = np.log(total)
+    row_ll += bound
+    out *= np.reciprocal(total, out=total)
+    if low.size:
+        row_ll[low] = low_ll
+        out[:, low] = low_r.T
+    return row_ll, out
 
 
 def nu_from_sums(tau_diff: np.ndarray, tau_mass: np.ndarray, healthy: np.ndarray | None = None) -> float:

@@ -35,7 +35,7 @@ from .baselines import BaselineConfig
 from .datasets import Dataset
 from .errors import DomainError, NumericalError
 from .results import ClusteringResult
-from .specialfn import _log_normalize, log_sum_exp
+from .specialfn import log_sum_exp  # noqa: F401 - perfbench's tracer rebinds core.log_sum_exp
 
 __all__ = [
     "TkModel",
@@ -61,14 +61,14 @@ class TkModel:
 
     def __post_init__(self):
         centers = np.array(self.centers, dtype=np.float64)
-        if centers.ndim != 2:
-            raise DomainError(f"centers must be a (K, p) matrix, got shape {centers.shape}")
+        if centers.ndim != 2 or 0 in centers.shape:
+            raise DomainError(f"centers must be a (K, p) matrix with K, p >= 1, got shape {centers.shape}")
         if not np.isfinite(centers).all():
             raise DomainError("centers must be finite")
-        _util.check_positive("alpha", self.alpha)
-        _util.check_positive("nu", self.nu)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "alpha", _util.check_positive("alpha", self.alpha))
+        object.__setattr__(self, "nu", _util.check_positive("nu", self.nu))
 
     @property
     def k(self) -> int:
@@ -135,40 +135,43 @@ def log_t_density(x, center, alpha: float, nu: float) -> float:
     return _util.log_t_const(p, alpha, nu) - 0.5 * (nu + p) * math.log1p(d2 / (nu * alpha))
 
 
-def _log_t_block(points, rows, mean, model: TkModel, lp, logt):
-    """``ln(1 + s)`` with ``s = d2/(nu*alpha)`` and ln t for one block of points, each (K, B).
+def _log_t_block(points, rows, mean, model: TkModel, lp):
+    """``ln(1 + s)`` with ``s = d2/(nu*alpha)`` for one block of points, (K, B), into ``lp``.
 
     ``rows`` are the block's columns of the data's ``_util.distance_block``,
-    centered at ``mean``.  ``lp`` receives the squared distances ``d2``,
-    then in place ``s``, the product of ``d2`` and ``1/(nu*alpha)``, then
-    ``log1p(s)``, which keeps a small ``s`` where ``1 + s`` would round to
-    1 (a large ``nu``); ``1 + s`` is never formed.  ``logt`` receives ln t
-    less its distance-free part, ``_util.log_t_const``, which ``_nll`` adds
-    to the row log-sum-exps instead (it cancels in ``tau``).  Raises
-    ``NumericalError`` when a distance or ``s`` overflows.
+    centered at ``mean``.  The distance GEMM takes ``1/(nu*alpha)`` into its
+    (K, p+2) operand (``_util.pairwise_sq_dists``' ``scale``), so ``lp``
+    receives ``s`` itself and then, in place, ``log1p(s)``, which keeps a
+    small ``s`` where ``1 + s`` would round to 1 (a large ``nu``); ``1 + s``
+    is never formed.  ln t is ``_util.log_t_const - (nu+p)/2 ln(1 + s)``,
+    which ``_e_block`` forms from it.  Raises ``NumericalError`` when
+    ``1/(nu*alpha)`` or an ``s`` overflows.
     """
-    lp = _util.pairwise_sq_dists(model.centers, points, block=(rows, mean), out=lp)
     try:
         with np.errstate(over="raise", divide="raise"):
-            np.multiply(lp, np.float64(1.0) / (np.float64(model.nu) * model.alpha), out=lp)
+            scale = np.float64(1.0) / (np.float64(model.nu) * model.alpha)
     except FloatingPointError:
-        raise NumericalError("scaled squared distances overflow float64; rescale the data") from None
-    np.log1p(lp, out=lp)
-    return lp, np.multiply(lp, -0.5 * (model.nu + model.p), out=logt)
+        raise NumericalError("1/(nu*alpha) overflows float64; rescale the data") from None
+    lp = _util.pairwise_sq_dists(model.centers, points, block=(rows, mean), out=lp, scale=scale)
+    return np.log1p(lp, out=lp)
 
 
 def _e_block(points, rows, mean, model: TkModel, lp, logt):
     """E-step of one block in two (K, B) matrices; returns its row log-sum-exps, ``tau`` (B, K) and ``E ln u`` (K, B).
 
-    One ``exp`` pass gives both the row log-sum-exps and ``tau``,
-    normalized in place in ``logt``.  ``E ln u = ln((nu+p)/nu) + kappa -
-    ln(1 + s)`` (``_util.log_u_consts``) then overwrites ``ln(1 + s)`` in
-    ``lp``; the precision weights ``u = exp(E ln u - kappa)`` follow from
-    it (``_util.precision_weights``).
+    ``lp`` receives ``ln(1 + s)`` (``_log_t_block``).  ln t less its
+    distance-free part, ``-(nu+p)/2 ln(1 + s)``, is at most 0, so
+    ``_util.t_normalize`` exponentiates it against that bound, with no
+    per-point max, and normalizes ``tau`` in place in ``logt``; the row
+    log-sum-exps leave out ``_util.log_t_const``, which ``_nll`` adds (it
+    cancels in ``tau``).  ``E ln u = ln((nu+p)/nu) + kappa - ln(1 + s)``
+    (``_util.log_u_consts``) then overwrites ``ln(1 + s)`` in ``lp``; the
+    precision weights ``u = exp(E ln u - kappa)`` follow from it
+    (``_util.precision_weights``).
     """
-    lp, logt = _log_t_block(points, rows, mean, model, lp, logt)
-    lse, tau = _log_normalize(logt.T, out=logt.T)
-    return lse, tau, np.subtract(_util.log_u_consts(model.nu, model.p)[0], lp, out=lp)
+    lp = _log_t_block(points, rows, mean, model, lp)
+    lse, tau = _util.t_normalize(lp, -0.5 * (model.nu + model.p), None, logt)
+    return lse, tau.T, np.subtract(_util.log_u_consts(model.nu, model.p)[0], lp, out=lp)
 
 
 def _add_sums(sums: np.ndarray, tau: np.ndarray, w: np.ndarray, rows: np.ndarray) -> None:
@@ -239,10 +242,13 @@ def _matrices(model: TkModel, n: int):
 def e_step(data: Dataset, model: TkModel) -> EStepResult:
     """Responsibilities, precision weights, and E(ln u) for every pair.
 
-    tau is normalized in log space (the equal mixing weights cancel), so
-    far points cannot underflow a whole row.  The (N, K) results are views
-    of C-ordered (K, N) memory: the whole data as one block of a pass, with
-    ``u = exp(E ln u - kappa)`` formed from ``E ln u`` as the pass forms it.
+    tau is normalized against the bound 0 of ln t less its distance-free
+    part (the equal mixing weights cancel), and a point whose every
+    component lies beyond e^-645 again with its own max shift
+    (``_util.t_normalize``), so far points cannot underflow a whole row.
+    The (N, K) results are views of C-ordered (K, N) memory: the whole data
+    as one block of a pass, with ``u = exp(E ln u - kappa)`` formed from
+    ``E ln u`` as the pass forms it.
     """
     x, rows, mean = _whole(data, model)
     _, tau, log_u = _e_block(x, rows, mean, model, *_matrices(model, data.n))
@@ -285,12 +291,12 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     rows = tau.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6):
         raise DomainError("tau rows must sum to 1")
-    lp, _ = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
+    lp = _log_t_block(*_whole(data, model), model, _matrices(model, data.n)[0])
     return float((tau * lp.T).sum())
 
 
 def _nll(lse: np.ndarray, model: TkModel) -> float:
-    """The negative log likelihood from the row log-sum-exps of ``_log_t_block``'s ``logt``."""
+    """The negative log likelihood from ``_e_block``'s row log-sum-exps, which leave out ``_util.log_t_const``."""
     return float(-(lse - (math.log(model.k) - _util.log_t_const(model.p, model.alpha, model.nu))).sum())
 
 
@@ -300,10 +306,12 @@ def negative_log_likelihood(data: Dataset, model: TkModel) -> float:
     This is the fit's convergence monitor: plain EM theory makes it
     non-increasing across iterations while ``nu`` is held fixed, which the
     raw weighted log-distance sum of :func:`log_l2_loss` is not once the
-    shared scale is re-estimated each step.
+    shared scale is re-estimated each step.  The row log-sum-exps are
+    ``_e_block``'s, with the whole data as one block, so the value equals
+    the loss ``fit`` traces for the model bit for bit.
     """
-    _, logt = _log_t_block(*_whole(data, model), model, *_matrices(model, data.n))
-    return _nll(log_sum_exp(logt.T, axis=1), model)
+    lse, _, _ = _e_block(*_whole(data, model), model, *_matrices(model, data.n))
+    return _nll(lse, model)
 
 
 def _initial_model(data: Dataset, k: int, cfg: FitConfig, nu0: float, block=None, scratch=None) -> TkModel:

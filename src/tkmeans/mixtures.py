@@ -212,13 +212,15 @@ def _e_block(cols: np.ndarray, e, bufs, log_u_sums=None):
     t fit, from ``_maha_logdet``'s operator: one GEMM of the quadratic form
     with all the block's rows, clamped at 0, or the squares of the
     whitened coordinates in the (p*K, B) ``bufs[0]`` (a temporary when it
-    is None), summed over p.  ``log r`` is
-    formed and normalized in place in ``bufs[1]`` (one ``exp`` pass, on
-    its transposed view), so ``r`` is (K, B).  The Gaussian fit first sets
-    to -inf each ``log r`` more than -ln(tiny) below its point's largest,
-    and weights by ``r``.  The t fit holds two (K, B) matrices: its
-    distances become ``log1p(maha/nu)`` in place, from which ``log r`` is
-    formed, then ``E ln u = ln((nu+p)/nu) + kappa - log1p(maha/nu)``
+    is None), summed over p.  ``r`` is normalized in place in ``bufs[1]``
+    with one ``exp`` pass, so it is (K, B).  The Gaussian fit forms ``log
+    r`` there, sets to -inf each one more than -ln(tiny) below its point's
+    largest and normalizes with the max shift (``_log_normalize``, on the
+    transposed view), and weights by ``r``.  The t fit holds two (K, B)
+    matrices: its distances become ``log1p(maha/nu)`` in place, whose
+    ``log r`` is at most the bias's largest entry, so ``_util.t_normalize``
+    forms ``r`` against that bound, with no per-point max, then ``E ln u =
+    ln((nu+p)/nu) + kappa - log1p(maha/nu)``
     (``_util.log_u_consts``), whose ``r``-weighted sum is added to the K
     entries of ``log_u_sums`` when given, then ``u = exp(E ln u - kappa) =
     (nu+p)/(nu+maha)`` and ``w = r * u``.
@@ -245,9 +247,7 @@ def _e_block(cols: np.ndarray, e, bufs, log_u_sums=None):
         row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
         return row_ll, log_r, log_r
     lp = np.log1p(np.divide(maha, nu, out=maha), out=maha)
-    np.multiply(lp, scale, out=log_r)
-    log_r += bias
-    row_ll, _ = _log_normalize(log_r.T, out=log_r.T)
+    row_ll, _ = _util.t_normalize(lp, scale, bias, log_r)
     log_u = np.subtract(_util.log_u_consts(nu, p)[0], lp, out=lp)
     if log_u_sums is not None:
         log_u_sums += np.einsum("kb,kb->k", log_r, log_u)

@@ -50,8 +50,10 @@ _DIGAMMA_LIFT = 6.0
 
 
 def check_positive(name: str, value, floor: float | None = None) -> float:
-    """``value`` as a float if it is a number, finite and > 0 (``floor``: >= floor); anything else raises ``DomainError``."""
+    """``value`` as a float if it is a number but not a bool, finite and > 0 (``floor``: >= floor); else ``DomainError``."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         if (0 < value if floor is None else floor <= value) and value < math.inf:
             return float(value)
     except (TypeError, ValueError):

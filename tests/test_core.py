@@ -55,7 +55,64 @@ class TestLogTDensity:
             log_t_density([np.nan], [0.0], 1.0, 1.0)
 
 
+class TestTkModel:
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)], ids=["no-components", "no-coordinates", "empty"])
+    def test_empty_centers_are_a_domain_error(self, shape):
+        with pytest.raises(DomainError, match="K, p >= 1"):
+            TkModel(np.zeros(shape), 1.0, 3.0)
+
+    def test_alpha_and_nu_are_stored_as_floats(self):
+        model = TkModel([[0.0, 1.0]], np.float32(0.5), np.int64(3))
+        assert type(model.alpha) is float and type(model.nu) is float
+        assert (model.alpha, model.nu) == (0.5, 3.0)
+
+
+def _oracle_log_t(x, model):
+    """ln t less its distance-free part, (N, K), from direct coordinate differences."""
+    d2 = ((x[:, None, :] - model.centers[None]) ** 2).sum(axis=2)
+    return -0.5 * (model.nu + model.p) * np.log1p(d2 / (model.nu * model.alpha))
+
+
+def _check_e_step_against_oracle(x, model):
+    """``e_step``'s tau and the public NLL against scipy's softmax and logsumexp of ``_oracle_log_t``."""
+    from scipy.special import logsumexp, softmax
+
+    from tkmeans import _util
+
+    logt = _oracle_log_t(x, model)
+    lse = logsumexp(logt, axis=1)
+    tau = e_step(Dataset(x), model).tau
+    assert np.isfinite(tau).all() and np.abs(tau.sum(axis=1) - 1.0).max() <= 1e-14
+    # ln t and the log-sum-exp carry errors of a few eps times their size, which exp makes relative in tau
+    ref, size = softmax(logt, axis=1), 1.0 + np.abs(logt) + np.abs(lse)[:, None]
+    assert (np.abs(tau - ref) <= 2e-14 * size * ref + 1e-300).all()
+    # the distance-free constant is the library's: at nu=1e16 its lgamma difference loses tens of units
+    nll = -(lse.sum() + x.shape[0] * (_util.log_t_const(model.p, model.alpha, model.nu) - math.log(model.k)))
+    assert negative_log_likelihood(Dataset(x), model) == pytest.approx(nll, rel=1e-13, abs=0.0)
+
+
 class TestEStep:
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 200.0, 1e16])
+    def test_bounded_e_step_matches_a_softmax_oracle(self, nu, p, offset):
+        rng = np.random.default_rng(p)
+        c0 = rng.normal(0, 3, (4, p))
+        x = offset + c0[rng.integers(0, 4, 150)] + rng.normal(0, 1, (150, p))
+        _check_e_step_against_oracle(x, TkModel(offset + c0 + rng.normal(0, 0.3, (4, p)), 1.3, nu))
+
+    def test_points_below_the_low_total_are_normalized_with_their_own_shift(self):
+        # at nu=200, ln t is about -1000 at (1e3, 1e3) and (-3e3, 2e3) and at their mirror images, which keep
+        # the data mean, and with it the distance kernel's error at the near points, near the origin
+        from tkmeans import _util
+
+        far = np.array([[1e3, 1e3], [-3e3, 2e3]])
+        x = np.vstack([far, -far, [[0.5, 0.2], [-1.0, 1.5]]])
+        model = TkModel([[0.0, 0.0], [-1.0, 1.0], [2.0, -0.5]], 0.5, 200.0)
+        totals = np.exp(_oracle_log_t(x, model)).sum(axis=1)
+        assert (totals[:4] == 0.0).all() and (totals[4:] >= _util.LOW_TOTAL).all()
+        _check_e_step_against_oracle(x, model)
+
     def test_symmetric_point_splits_evenly(self):
         d = Dataset([[0.0]])
         model = TkModel([[-1.0], [1.0]], alpha=0.7, nu=2.3)

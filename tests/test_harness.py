@@ -26,6 +26,7 @@ from tkmeans.harness import (
 )
 from tkmeans.metrics import clustering_mse
 from tkmeans.mixtures import gmm_fit, tmm_fit
+from tkmeans.specialfn import digamma, log_gamma
 
 TWO_BLOBS = "blobs:k=2,n=30,p=2,std=0.3,box=15,seed=5"
 
@@ -236,6 +237,42 @@ def test_a_bool_is_not_an_integer(call, error):
     # operator.index(True) is 1: only an explicit check keeps a bool from running as a K, seed or count of 1 or 0
     with pytest.raises(error, match="must be an integer"):
         call(parse_generator_spec(TWO_BLOBS))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: FitConfig(fast_alpha=True),
+        lambda d: FitConfig(fixed_nu=np.True_),
+        lambda d: BaselineConfig(tol=True),
+        lambda d: TkModel(d.samples[:2], True, 3.0),
+        lambda d: TkModel(d.samples[:2], 1.0, True),
+        lambda d: log_t_density([0.0], [0.0], True, 3.0),
+        lambda d: log_gamma(True),
+        lambda d: digamma(np.True_),
+        lambda d: gmm_fit(d, 2, ridge=False),
+        lambda d: gmm_fit(d, 2, constrained_alpha=True),
+        lambda d: tmm_fit(d, 2, fixed_nu=True),
+        lambda d: ContaminationSpec(False, 2.0),
+        lambda d: ContaminationSpec(0.1, True),
+        lambda d: generate_gaussian_blobs(2, 5, 2, cluster_std=True),
+        lambda d: generate_gaussian_blobs(2, 5, 2, center_box=True),
+    ],
+    ids=["fast_alpha", "fixed_nu", "tol", "alpha", "nu", "log_t_density", "log_gamma", "digamma", "ridge",
+         "constrained_alpha", "tmm-fixed_nu", "outlier_fraction", "box_expansion", "cluster_std", "center_box"],
+)
+def test_a_bool_is_not_a_positive_number(call):
+    # True > 0 and float(True) is 1.0: only an explicit check keeps a bool from running as a scale of 1 or 0
+    with pytest.raises(DomainError, match="must be finite and"):
+        call(parse_generator_spec(TWO_BLOBS))
+
+
+def test_numpy_numbers_are_positive_numbers():
+    d = parse_generator_spec(TWO_BLOBS)
+    assert TkModel(d.samples[:2], np.float32(0.5), np.int64(3)).nu == 3.0
+    assert FitConfig(fast_alpha=np.float64(1e-6), fixed_nu=np.float32(2.0), tol=np.float16(1e-3)).fixed_nu == 2.0
+    assert log_gamma(np.float64(4.0)) == pytest.approx(math.log(6.0), rel=1e-13)
+    assert ContaminationSpec(np.float64(0.1), np.int64(2)).box_expansion == 2
 
 
 def _points(distinct, duplicates, p, offset, log_scale, seed):

@@ -37,6 +37,30 @@ def _per_component_log_resp(x, model):
     return log_r
 
 
+def _check_t_e_block_against_oracle(x, weights, means, covs, nu):
+    """The t ``_e_block``'s row log-likelihoods and ``r`` against scipy's logsumexp and softmax; returns ``r``."""
+    from scipy.special import logsumexp, softmax
+
+    (n, p), k = x.shape, means.shape[0]
+    mom = _row_moments(x, k)
+    e = mixtures._e_step(weights, means, covs, nu, mom.c, mom.quad)
+    bufs = [None if mom.packed else np.empty(k * p * n)] + [np.empty(k * n) for _ in range(2)]
+    row_ll, r, _ = mixtures._e_block(mom.cols, e, bufs)
+    log_r = np.empty((n, k))
+    for j in range(k):
+        maha, logdet = _solve_maha_logdet(x, means[j], covs[j])
+        log_r[:, j] = math.log(weights[j]) - 0.5 * logdet - 0.5 * (nu + p) * np.log1p(maha / nu)
+    # the distance-free constant is the library's: at nu=1e16 its lgamma difference loses tens of units
+    log_r += _util.log_t_const(p, 1.0, nu)
+    ref_ll = logsumexp(log_r, axis=1)
+    assert np.isfinite(r).all() and np.abs(r.sum(axis=0) - 1.0).max() <= 1e-14
+    assert (np.abs(row_ll - ref_ll) <= 1e-13 * np.maximum(1.0, np.abs(ref_ll))).all()
+    # log r and the row log-likelihoods carry errors of a few eps times their size, which exp makes relative in r
+    ref, size = softmax(log_r, axis=1).T, 1.0 + np.abs(log_r.T) + np.abs(ref_ll)
+    assert (np.abs(r - ref) <= 2e-14 * size * ref + 1e-300).all()
+    return r
+
+
 def _random_spd(rng, k, p):
     a = rng.normal(0, 1, (k, p, p))
     return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(p)
@@ -350,6 +374,37 @@ class TestBlockedPass:
         assert band.any() and (r[band] == 0.0).all() and w is r
         assert np.allclose(row_ll, log_sum_exp(log_r.T, axis=1), rtol=1e-14, atol=0.0)
         assert np.allclose(r[~band], np.exp(log_r - row_ll)[~band], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 200.0, 1e16])
+    def test_bounded_t_e_block_matches_a_softmax_oracle(self, nu, p, offset):
+        # p=16 >= 2K takes the whitening operator, p=1 and p=2 the packed quadratic form
+        rng = np.random.default_rng(p)
+        means = offset + rng.normal(0, 3, (3, p))
+        x = means[rng.integers(0, 3, 150)] + rng.normal(0, 2, (150, p))
+        _check_t_e_block_against_oracle(x, np.array([0.2, 0.3, 0.5]), means, _random_spd(rng, 3, p), nu)
+
+    def test_a_bias_far_above_the_others_takes_the_shifted_path(self):
+        # component 2's covariance of 1e-250 I puts its bias about 860 above the others, so at every point
+        # (none near its mean) every exp(log r - bound) is 0 and the point is normalized with its own shift
+        rng = np.random.default_rng(21)
+        means = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 1.0], [1.0, 3.0, -2.0]])
+        covs = np.stack([np.eye(3), np.eye(3), 1e-250 * np.eye(3)])
+        x = means[rng.integers(0, 2, 60)] + rng.normal(0, 1, (60, 3))
+        _, _, bias, _, _ = mixtures._e_step(np.full(3, 1 / 3), means, covs, 3.0, x.mean(axis=0))
+        assert bias[2, 0] - bias[:2, 0].max() > 700.0
+        _check_t_e_block_against_oracle(x, np.full(3, 1 / 3), means, covs, 3.0)
+
+    def test_log_r_far_above_zero_is_normalized_against_the_largest_bias(self):
+        # data in units of 1e-20 put every bias about 730 above 0, where exp(log r) alone would overflow
+        rng = np.random.default_rng(22)
+        means = 1e-20 * rng.normal(0, 3, (3, 16))
+        x = means[rng.integers(0, 3, 90)] + 1e-20 * rng.normal(0, 1, (90, 16))
+        covs = 1e-40 * _random_spd(rng, 3, 16)
+        _, _, bias, _, _ = mixtures._e_step(np.full(3, 1 / 3), means, covs, 3.0, x.mean(axis=0))
+        assert bias.min() > 710.0
+        _check_t_e_block_against_oracle(x, np.full(3, 1 / 3), means, covs, 3.0)
 
     @pytest.mark.parametrize("nu", [None, 3.0], ids=["gmm", "tmm"])
     def test_packed_e_block_needs_no_whitening_buffer(self, nu):
