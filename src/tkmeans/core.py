@@ -291,7 +291,7 @@ def log_l2_loss(data: Dataset, model: TkModel, tau: np.ndarray) -> float:
     rows = tau.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6):
         raise DomainError("tau rows must sum to 1")
-    lp = _log_t_block(*_whole(data, model), model, _matrices(model, data.n)[0])
+    lp = _log_t_block(*_whole(data, model), model, np.empty((model.k, data.n)))
     return float((tau * lp.T).sum())
 
 

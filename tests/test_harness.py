@@ -268,8 +268,6 @@ def test_a_bool_is_not_a_positive_number(call):
 
 
 def test_numpy_numbers_are_positive_numbers():
-    d = parse_generator_spec(TWO_BLOBS)
-    assert TkModel(d.samples[:2], np.float32(0.5), np.int64(3)).nu == 3.0
     assert FitConfig(fast_alpha=np.float64(1e-6), fixed_nu=np.float32(2.0), tol=np.float16(1e-3)).fixed_nu == 2.0
     assert log_gamma(np.float64(4.0)) == pytest.approx(math.log(6.0), rel=1e-13)
     assert ContaminationSpec(np.float64(0.1), np.int64(2)).box_expansion == 2
