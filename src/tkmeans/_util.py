@@ -9,7 +9,8 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .specialfn import _log_normalize, check_positive, digamma, log_gamma  # noqa: F401 - the other modules' check_positive
+from .specialfn import _log_normalize, digamma, log_gamma
+from .specialfn import check_positive  # noqa: F401 - the other modules' check_positive
 
 # All stochastic code paths go through numpy's PCG64 via default_rng.
 

@@ -50,7 +50,7 @@ _DIGAMMA_LIFT = 6.0
 
 
 def check_positive(name: str, value, floor: float | None = None) -> float:
-    """``value`` as a float if it is a number but not a bool, finite and > 0 (``floor``: >= floor); else ``DomainError``."""
+    """``value`` as a float if it is a non-bool number, finite and > 0 (``floor``: >= floor); else ``DomainError``."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
